@@ -1,10 +1,11 @@
 //! Criterion benchmarks of the cost-model hot paths: causal pair counting
-//! and per-round ring cost queries. These run inside every lowering of
-//! every ring round, so they must stay in the tens of nanoseconds.
+//! and per-round ring cost queries on a prebuilt [`RingGeometry`]. The
+//! queries run inside every lowering of every ring round, so they must
+//! stay in the tens of nanoseconds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use zeppelin_core::chunking::{ring_round_flops, ring_round_kv_bytes};
+use zeppelin_core::chunking::RingGeometry;
 use zeppelin_model::config::llama_7b;
 use zeppelin_model::flops::{attention_block_flops, causal_pairs};
 
@@ -27,12 +28,13 @@ fn bench_causal_pairs(c: &mut Criterion) {
 
 fn bench_ring_round(c: &mut Criterion) {
     let cfg = llama_7b();
+    let geom = RingGeometry::new(131_072, 16, &[]);
     c.bench_function("ring_round_flops_g16", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for p in 0..16 {
                 for r in 0..16 {
-                    acc += ring_round_flops(&cfg, 131_072, 16, p, r);
+                    acc += geom.round_flops(&cfg, p, r);
                 }
             }
             std::hint::black_box(acc)
@@ -42,7 +44,7 @@ fn bench_ring_round(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for p in 0..16 {
-                acc += ring_round_kv_bytes(&cfg, 131_072, 16, p, 3);
+                acc += geom.round_kv_bytes(&cfg, p, 3);
             }
             std::hint::black_box(acc)
         })

@@ -10,7 +10,7 @@
 
 use zeppelin_bench::harness::{paper_rng, paper_testbed};
 use zeppelin_bench::table::Table;
-use zeppelin_core::chunking::{contiguous_position_flops, position_total_flops};
+use zeppelin_core::chunking::{contiguous_position_flops, RingGeometry};
 use zeppelin_core::routing::{direct_cost, eq1_cost};
 use zeppelin_core::scheduler::{Scheduler, SchedulerCtx};
 use zeppelin_core::zeppelin::Zeppelin;
@@ -108,7 +108,8 @@ fn chunking_balance() {
             let mean = per.iter().sum::<f64>() / g as f64;
             per.iter().cloned().fold(0.0f64, f64::max) / mean
         };
-        let zig = imb(&|i| position_total_flops(&model, len, g, i));
+        let geom = RingGeometry::new(len, g, &[]);
+        let zig = imb(&|i| geom.total_flops(&model, i));
         let contig = imb(&|i| contiguous_position_flops(&model, len, g, i));
         table.row(vec![
             format!("{g}"),

@@ -19,7 +19,7 @@ use zeppelin_model::kernel::KernelModel;
 use zeppelin_model::memory::{activation_bytes_per_token, kv_bytes};
 use zeppelin_sim::topology::ClusterSpec;
 
-use crate::chunking::{position_total_flops, ring_round_flops, ring_round_kv_bytes};
+use crate::chunking::RingGeometry;
 use crate::plan::{AttnMode, IterationPlan, Zone};
 use crate::validate::{cluster_violations, PlanViolation};
 
@@ -135,15 +135,14 @@ fn analyze_audited(
     ];
     let mut mb_tokens: Vec<Vec<u64>> = vec![vec![0; plan.micro_batches]; nranks];
     // Local sequences fuse into one kernel per (rank, micro-batch), and
-    // multi-rank placements with identical (ranks, mode, micro-batch) fuse
-    // into one group execution — exactly as the executor lowers them, so
-    // kernel launch counts (and thus seconds) match.
+    // multi-rank placements with identical (ranks, mode, speed weights,
+    // micro-batch) fuse into one group execution — exactly as the executor
+    // lowers them, so kernel launch counts (and thus seconds) match.
     let mut local_flops: Vec<Vec<f64>> = vec![vec![0.0; plan.micro_batches]; nranks];
     let mut zone_counts = (0usize, 0usize, 0usize);
-    let mut groups: std::collections::BTreeMap<
-        (Vec<usize>, u8, usize),
-        Vec<&crate::plan::SeqPlacement>,
-    > = std::collections::BTreeMap::new();
+    type GroupKey = (Vec<usize>, AttnMode, Vec<u32>, usize);
+    let mut groups: std::collections::BTreeMap<GroupKey, Vec<RingGeometry>> =
+        std::collections::BTreeMap::new();
 
     for p in &plan.placements {
         match p.zone {
@@ -151,54 +150,44 @@ fn analyze_audited(
             Zone::IntraNode => zone_counts.1 += 1,
             Zone::InterNode => zone_counts.2 += 1,
         }
-        let g = p.ranks.len();
+        let geom = p.geometry();
         for (pos, &rank) in p.ranks.iter().enumerate() {
             assert!(rank < nranks, "plan references rank {rank} outside cluster");
-            mb_tokens[rank][p.micro_batch] += p.tokens_on_position(pos);
+            mb_tokens[rank][p.micro_batch] += geom.tokens(pos);
         }
-        if g == 1 {
+        if p.ranks.len() == 1 {
             local_flops[p.ranks[0]][p.micro_batch] += attention_seq_flops(model, p.len);
             continue;
         }
-        let mode_key = match p.mode {
-            AttnMode::Ring => 0u8,
-            AttnMode::AllGather => 1,
-            AttnMode::Ulysses => 2,
-            AttnMode::DoubleRing => 3,
-        };
         groups
-            .entry((p.ranks.clone(), mode_key, p.micro_batch))
+            .entry((p.ranks.clone(), p.mode, p.weights.clone(), p.micro_batch))
             .or_default()
-            .push(p);
+            .push(geom);
     }
 
-    for ((group_ranks, _, _), members) in &groups {
+    for ((group_ranks, mode, _, _), geoms) in &groups {
         let g = group_ranks.len();
-        let mode = members.first().expect("non-empty group").mode;
-        let lens: Vec<u64> = members.iter().map(|p| p.len).collect();
-        match mode {
+        match *mode {
             AttnMode::Ring | AttnMode::DoubleRing => {
                 // Both visit every (query, kv) position pair exactly once;
                 // per-round kernel costs sum identically. Only the sends'
                 // locality differs: a node-major double ring crosses nodes
                 // on (nodes-1) of its (G-1) hops instead of at every ring
                 // boundary.
-                let dr_cross_frac = (mode == AttnMode::DoubleRing)
+                let dr_cross_frac = (*mode == AttnMode::DoubleRing)
                     .then(|| double_ring_cross_fraction(cluster, group_ranks))
                     .flatten();
                 for (pos, &rank) in group_ranks.iter().enumerate() {
                     for round in 0..g {
-                        let flops: f64 = lens
-                            .iter()
-                            .map(|&len| ring_round_flops(model, len, g, pos, round))
-                            .sum();
+                        let flops: f64 =
+                            geoms.iter().map(|s| s.round_flops(model, pos, round)).sum();
                         ranks[rank].attn_flops += flops;
                         ranks[rank].attn_secs += kernel.kernel_time(flops, peak);
                     }
                     for round in 0..g - 1 {
-                        let bytes: f64 = lens
+                        let bytes: f64 = geoms
                             .iter()
-                            .map(|&len| ring_round_kv_bytes(model, len, g, pos, round))
+                            .map(|s| s.round_kv_bytes(model, pos, round))
                             .sum();
                         match dr_cross_frac {
                             Some(frac) => {
@@ -219,16 +208,13 @@ fn analyze_audited(
             }
             AttnMode::AllGather => {
                 for (pos, &rank) in group_ranks.iter().enumerate() {
-                    let flops: f64 = lens
-                        .iter()
-                        .map(|&len| position_total_flops(model, len, g, pos))
-                        .sum();
+                    let flops: f64 = geoms.iter().map(|s| s.total_flops(model, pos)).sum();
                     ranks[rank].attn_flops += flops;
                     ranks[rank].attn_secs += kernel.kernel_time(flops, peak);
                     for round in 0..g - 1 {
-                        let bytes: f64 = lens
+                        let bytes: f64 = geoms
                             .iter()
-                            .map(|&len| ring_round_kv_bytes(model, len, g, pos, round))
+                            .map(|s| s.round_kv_bytes(model, pos, round))
                             .sum();
                         let next = group_ranks[(pos + 1) % g];
                         if cluster.same_node(rank, next) {
@@ -240,9 +226,9 @@ fn analyze_audited(
                 }
             }
             AttnMode::Ulysses => {
-                let per_rank: f64 = lens
+                let per_rank: f64 = geoms
                     .iter()
-                    .map(|&len| attention_seq_flops(model, len))
+                    .map(|s| attention_seq_flops(model, s.seq_len()))
                     .sum::<f64>()
                     / g as f64;
                 for &rank in group_ranks {
@@ -253,10 +239,7 @@ fn analyze_audited(
                 // aggregated here by destination locality.
                 let h_bytes = model.hidden as f64 * model.dtype_bytes as f64;
                 for (pos, &rank) in group_ranks.iter().enumerate() {
-                    let shard: f64 = members
-                        .iter()
-                        .map(|p| p.tokens_on_position(pos) as f64)
-                        .sum();
+                    let shard: f64 = geoms.iter().map(|s| s.tokens(pos) as f64).sum();
                     for &peer in group_ranks.iter().filter(|&&q| q != rank) {
                         let bytes = 4.0 * shard * h_bytes / g as f64;
                         if cluster.same_node(rank, peer) {

@@ -9,7 +9,8 @@
 //! Ring execution runs `G` rounds: in round `r`, position `p` computes its
 //! query chunks against the KV chunks originally owned by position
 //! `(p - r) mod G`, while sending the KV it currently holds to `p + 1`.
-//! All cost queries here are exact (integer causal-pair counting).
+//! All cost queries go through a [`RingGeometry`], built once per
+//! sequence and group, and are exact (integer causal-pair counting).
 
 use zeppelin_model::config::ModelConfig;
 use zeppelin_model::flops::{attention_block_flops, flops_per_pair};
@@ -24,6 +25,15 @@ pub struct Chunk {
     pub len: u64,
 }
 
+/// Chunk `c` of an equal cut into `n` chunks with `len = base·n + rem`:
+/// remainder tokens go to the lowest-index chunks.
+fn uniform_chunk(base: u64, rem: u64, c: u64) -> Chunk {
+    Chunk {
+        offset: c * base + c.min(rem),
+        len: base + u64::from(c < rem),
+    }
+}
+
 /// Offsets/lengths of all `2G` chunks of a sequence of length `len`.
 ///
 /// Remainder tokens go to the lowest-index chunks, keeping sizes within one
@@ -32,7 +42,7 @@ pub struct Chunk {
 /// Degenerate case: when `len < 2G` there are not enough tokens for every
 /// chunk, so trailing chunks have length zero. Zero-length chunks are
 /// first-class citizens of the geometry — they carry zero cost through every
-/// query in this module (zero attention FLOPs, zero KV tokens/bytes) and
+/// [`RingGeometry`] query (zero attention FLOPs, zero KV tokens/bytes) and
 /// ring rounds still conserve tokens exactly.
 ///
 /// # Panics
@@ -41,16 +51,7 @@ pub struct Chunk {
 pub fn chunks(len: u64, g: usize) -> Vec<Chunk> {
     assert!(g > 0, "ring group must be non-empty");
     let n = 2 * g as u64;
-    let base = len / n;
-    let rem = len % n;
-    let mut out = Vec::with_capacity(n as usize);
-    let mut offset = 0;
-    for c in 0..n {
-        let l = base + u64::from(c < rem);
-        out.push(Chunk { offset, len: l });
-        offset += l;
-    }
-    out
+    (0..n).map(|c| uniform_chunk(len / n, len % n, c)).collect()
 }
 
 /// Fixed-point quantum for per-position speed weights: speeds are stored as
@@ -58,6 +59,11 @@ pub fn chunks(len: u64, g: usize) -> Vec<Chunk> {
 /// byte-identical across replays. Matches the serving cache-key quantum so a
 /// plan and its cache entry never disagree about what "the same speeds" means.
 pub const SPEED_WEIGHT_QUANTUM: f64 = 1024.0;
+
+/// Whether `weights` cut equal chunks: empty, or every weight the same.
+fn is_uniform(weights: &[u32]) -> bool {
+    weights.iter().all(|&w| w == weights[0])
+}
 
 /// Quantizes one relative speed to a fixed-point chunk weight (min 1).
 ///
@@ -127,7 +133,7 @@ pub fn chunks_weighted(len: u64, g: usize, speeds: &[f64]) -> Vec<Chunk> {
 /// any weight is zero.
 pub fn chunks_with_weights(len: u64, g: usize, weights: &[u32]) -> Vec<Chunk> {
     assert!(g > 0, "ring group must be non-empty");
-    if weights.is_empty() || weights.iter().all(|&w| w == weights[0]) {
+    if is_uniform(weights) {
         return chunks(len, g);
     }
     assert_eq!(weights.len(), g, "weights must cover every ring position");
@@ -165,182 +171,112 @@ pub fn chunks_with_weights(len: u64, g: usize, weights: &[u32]) -> Vec<Chunk> {
     out
 }
 
-/// The two chunks owned by ring position `i` (zigzag pairing).
+/// Zigzag chunk geometry of one sequence of `len` tokens on a ring of `g`
+/// positions under per-position `weights` (empty or all-equal = uniform,
+/// see [`chunks_with_weights`]).
 ///
-/// # Panics
-///
-/// Panics if `i >= g`.
-pub fn position_chunks(len: u64, g: usize, i: usize) -> [Chunk; 2] {
-    assert!(i < g, "position {i} out of ring of size {g}");
-    let all = chunks(len, g);
-    [all[i], all[2 * g - 1 - i]]
+/// Built once per sequence and group; every per-round query is O(1) and
+/// [`RingGeometry::total_flops`] is O(G). A uniform geometry computes chunk
+/// offsets arithmetically and allocates nothing; a weighted one holds its
+/// `2G` chunks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RingGeometry {
+    len: u64,
+    g: usize,
+    base: u64,
+    rem: u64,
+    /// The `2G` chunks of a weighted cut; empty for a uniform one.
+    weighted: Vec<Chunk>,
 }
 
-/// [`position_chunks`] under per-position weights (empty = uniform).
-///
-/// # Panics
-///
-/// Panics if `i >= g` or the weights are malformed (see
-/// [`chunks_with_weights`]).
-pub fn position_chunks_weighted(len: u64, g: usize, weights: &[u32], i: usize) -> [Chunk; 2] {
-    assert!(i < g, "position {i} out of ring of size {g}");
-    let all = chunks_with_weights(len, g, weights);
-    [all[i], all[2 * g - 1 - i]]
+impl RingGeometry {
+    /// Cuts a sequence of `len` tokens for a ring of `g` positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g == 0` or the weights are malformed (see
+    /// [`chunks_with_weights`]).
+    pub fn new(len: u64, g: usize, weights: &[u32]) -> RingGeometry {
+        assert!(g > 0, "ring group must be non-empty");
+        let n = 2 * g as u64;
+        let weighted = if is_uniform(weights) {
+            Vec::new()
+        } else {
+            chunks_with_weights(len, g, weights)
+        };
+        RingGeometry {
+            len,
+            g,
+            base: len / n,
+            rem: len % n,
+            weighted,
+        }
+    }
+
+    /// Sequence length in tokens.
+    pub fn seq_len(&self) -> u64 {
+        self.len
+    }
+
+    /// Chunk `c` of the `2G` (zigzag order: position `i` owns chunks `i`
+    /// and `2G-1-i`).
+    fn chunk(&self, c: usize) -> Chunk {
+        match self.weighted.get(c) {
+            Some(&chunk) => chunk,
+            None => uniform_chunk(self.base, self.rem, c as u64),
+        }
+    }
+
+    /// The two chunks owned by ring position `i` (zigzag pairing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= g`.
+    pub fn position(&self, i: usize) -> [Chunk; 2] {
+        assert!(i < self.g, "position {i} out of ring of size {}", self.g);
+        [self.chunk(i), self.chunk(2 * self.g - 1 - i)]
+    }
+
+    /// Tokens owned by ring position `p` (both of its chunks).
+    pub fn tokens(&self, p: usize) -> u64 {
+        let [a, b] = self.position(p);
+        a.len + b.len
+    }
+
+    /// Attention FLOPs of query position `q` against the KV chunks owned by
+    /// position `kv`.
+    pub fn pair_flops(&self, cfg: &ModelConfig, q: usize, kv: usize) -> f64 {
+        let kv = self.position(kv);
+        let mut flops = 0.0;
+        for qc in self.position(q) {
+            for kc in kv {
+                flops += attention_block_flops(cfg, qc.offset, qc.len, kc.offset, kc.len);
+            }
+        }
+        flops
+    }
+
+    /// Attention FLOPs computed by position `p` in round `r`.
+    pub fn round_flops(&self, cfg: &ModelConfig, p: usize, r: usize) -> f64 {
+        self.pair_flops(cfg, p, kv_source(self.g, p, r))
+    }
+
+    /// Bytes of KV that position `p` holds in round `r` and sends to its
+    /// neighbour after it.
+    pub fn round_kv_bytes(&self, cfg: &ModelConfig, p: usize, r: usize) -> f64 {
+        kv_bytes(cfg, self.tokens(kv_source(self.g, p, r)))
+    }
+
+    /// Total attention FLOPs of position `p` across all `G` rounds.
+    pub fn total_flops(&self, cfg: &ModelConfig, p: usize) -> f64 {
+        (0..self.g).map(|r| self.round_flops(cfg, p, r)).sum()
+    }
 }
 
 /// Ring source position whose KV reaches `position` in `round`.
 pub fn kv_source(g: usize, position: usize, round: usize) -> usize {
     debug_assert!(position < g && round < g);
     (position + g - round % g) % g
-}
-
-/// Attention FLOPs of query position `q_pos` against the KV chunks owned by
-/// position `kv_pos` (both zigzag positions of a group of size `g`).
-pub fn position_pair_flops(
-    cfg: &ModelConfig,
-    len: u64,
-    g: usize,
-    q_pos: usize,
-    kv_pos: usize,
-) -> f64 {
-    let q = position_chunks(len, g, q_pos);
-    let kv = position_chunks(len, g, kv_pos);
-    let mut flops = 0.0;
-    for qc in q {
-        for kc in kv {
-            flops += attention_block_flops(cfg, qc.offset, qc.len, kc.offset, kc.len);
-        }
-    }
-    flops
-}
-
-/// Attention FLOPs computed by `position` in `round` of a ring of size `g`
-/// over a sequence of length `len`.
-pub fn ring_round_flops(
-    cfg: &ModelConfig,
-    len: u64,
-    g: usize,
-    position: usize,
-    round: usize,
-) -> f64 {
-    position_pair_flops(cfg, len, g, position, kv_source(g, position, round))
-}
-
-/// Tokens owned by a zigzag position (`position_chunks` total).
-pub fn position_tokens(len: u64, g: usize, position: usize) -> u64 {
-    position_chunks(len, g, position)
-        .iter()
-        .map(|c| c.len)
-        .sum()
-}
-
-/// Tokens of KV that `position` holds (and sends onward) at `round`.
-pub fn ring_round_kv_tokens(len: u64, g: usize, position: usize, round: usize) -> u64 {
-    let src = kv_source(g, position, round);
-    position_chunks(len, g, src).iter().map(|c| c.len).sum()
-}
-
-/// Bytes of KV that `position` sends to its neighbour after `round`.
-pub fn ring_round_kv_bytes(
-    cfg: &ModelConfig,
-    len: u64,
-    g: usize,
-    position: usize,
-    round: usize,
-) -> f64 {
-    kv_bytes(cfg, ring_round_kv_tokens(len, g, position, round))
-}
-
-/// Total attention FLOPs of ring position `i` across all `g` rounds.
-pub fn position_total_flops(cfg: &ModelConfig, len: u64, g: usize, i: usize) -> f64 {
-    (0..g).map(|r| ring_round_flops(cfg, len, g, i, r)).sum()
-}
-
-/// [`position_pair_flops`] under per-position weights (empty = uniform).
-pub fn position_pair_flops_weighted(
-    cfg: &ModelConfig,
-    len: u64,
-    g: usize,
-    weights: &[u32],
-    q_pos: usize,
-    kv_pos: usize,
-) -> f64 {
-    let q = position_chunks_weighted(len, g, weights, q_pos);
-    let kv = position_chunks_weighted(len, g, weights, kv_pos);
-    let mut flops = 0.0;
-    for qc in q {
-        for kc in kv {
-            flops += attention_block_flops(cfg, qc.offset, qc.len, kc.offset, kc.len);
-        }
-    }
-    flops
-}
-
-/// [`ring_round_flops`] under per-position weights (empty = uniform).
-pub fn ring_round_flops_weighted(
-    cfg: &ModelConfig,
-    len: u64,
-    g: usize,
-    weights: &[u32],
-    position: usize,
-    round: usize,
-) -> f64 {
-    position_pair_flops_weighted(
-        cfg,
-        len,
-        g,
-        weights,
-        position,
-        kv_source(g, position, round),
-    )
-}
-
-/// [`position_tokens`] under per-position weights (empty = uniform).
-pub fn position_tokens_weighted(len: u64, g: usize, weights: &[u32], position: usize) -> u64 {
-    position_chunks_weighted(len, g, weights, position)
-        .iter()
-        .map(|c| c.len)
-        .sum()
-}
-
-/// [`ring_round_kv_tokens`] under per-position weights (empty = uniform).
-pub fn ring_round_kv_tokens_weighted(
-    len: u64,
-    g: usize,
-    weights: &[u32],
-    position: usize,
-    round: usize,
-) -> u64 {
-    let src = kv_source(g, position, round);
-    position_tokens_weighted(len, g, weights, src)
-}
-
-/// [`ring_round_kv_bytes`] under per-position weights (empty = uniform).
-pub fn ring_round_kv_bytes_weighted(
-    cfg: &ModelConfig,
-    len: u64,
-    g: usize,
-    weights: &[u32],
-    position: usize,
-    round: usize,
-) -> f64 {
-    kv_bytes(
-        cfg,
-        ring_round_kv_tokens_weighted(len, g, weights, position, round),
-    )
-}
-
-/// [`position_total_flops`] under per-position weights (empty = uniform).
-pub fn position_total_flops_weighted(
-    cfg: &ModelConfig,
-    len: u64,
-    g: usize,
-    weights: &[u32],
-    i: usize,
-) -> f64 {
-    (0..g)
-        .map(|r| ring_round_flops_weighted(cfg, len, g, weights, i, r))
-        .sum()
 }
 
 /// Attention FLOPs of a *contiguously* split position (non-zigzag): ring
@@ -384,9 +320,10 @@ mod tests {
         let cfg = llama_7b();
         for len in [64u64, 1000, 4096] {
             for g in [1usize, 2, 4, 8] {
+                let geom = RingGeometry::new(len, g, &[]);
                 let total: f64 = (0..g)
                     .flat_map(|p| (0..g).map(move |r| (p, r)))
-                    .map(|(p, r)| ring_round_flops(&cfg, len, g, p, r))
+                    .map(|(p, r)| geom.round_flops(&cfg, p, r))
                     .sum();
                 let expected = attention_seq_flops(&cfg, len);
                 assert!(
@@ -402,9 +339,8 @@ mod tests {
         let cfg = llama_7b();
         let len = 8192;
         let g = 8;
-        let per: Vec<f64> = (0..g)
-            .map(|i| position_total_flops(&cfg, len, g, i))
-            .collect();
+        let geom = RingGeometry::new(len, g, &[]);
+        let per: Vec<f64> = (0..g).map(|i| geom.total_flops(&cfg, i)).collect();
         let max = per.iter().cloned().fold(0.0f64, f64::max);
         let min = per.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(
@@ -452,8 +388,9 @@ mod tests {
         // whole sequence exactly once.
         let len = 10000;
         let g = 4;
+        let geom = RingGeometry::new(len, g, &[]);
         for r in 0..g {
-            let total: u64 = (0..g).map(|p| ring_round_kv_tokens(len, g, p, r)).sum();
+            let total: u64 = (0..g).map(|p| geom.tokens(kv_source(g, p, r))).sum();
             assert_eq!(total, len);
         }
     }
@@ -461,15 +398,16 @@ mod tests {
     #[test]
     fn kv_bytes_use_model_width() {
         let cfg = llama_7b();
-        let b = ring_round_kv_bytes(&cfg, 4096, 4, 0, 0);
-        let tokens = ring_round_kv_tokens(4096, 4, 0, 0);
+        let geom = RingGeometry::new(4096, 4, &[]);
+        let b = geom.round_kv_bytes(&cfg, 0, 0);
+        let tokens = geom.tokens(0);
         assert!((b - 2.0 * tokens as f64 * 4096.0 * 2.0).abs() < 1.0);
     }
 
     #[test]
     fn single_rank_ring_degenerates_to_local() {
         let cfg = llama_7b();
-        let f = ring_round_flops(&cfg, 1000, 1, 0, 0);
+        let f = RingGeometry::new(1000, 1, &[]).round_flops(&cfg, 0, 0);
         let expected = attention_seq_flops(&cfg, 1000);
         assert!((f - expected).abs() / expected < 1e-12);
     }
@@ -477,7 +415,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of ring")]
     fn bad_position_panics() {
-        position_chunks(100, 4, 4);
+        RingGeometry::new(100, 4, &[]).position(4);
     }
 
     #[test]
@@ -489,18 +427,19 @@ mod tests {
             let cs = chunks(len, g);
             assert_eq!(cs.iter().map(|c| c.len).sum::<u64>(), len);
             assert!(cs.iter().any(|c| c.len == 0), "len {len} g {g}");
+            let geom = RingGeometry::new(len, g, &[]);
             for r in 0..g {
-                let kv: u64 = (0..g).map(|p| ring_round_kv_tokens(len, g, p, r)).sum();
+                let kv: u64 = (0..g).map(|p| geom.tokens(kv_source(g, p, r))).sum();
                 assert_eq!(kv, len, "round {r} len {len} g {g}");
             }
-            let total: f64 = (0..g).map(|i| position_total_flops(&cfg, len, g, i)).sum();
+            let total: f64 = (0..g).map(|i| geom.total_flops(&cfg, i)).sum();
             let expected = attention_seq_flops(&cfg, len);
             assert!((total - expected).abs() <= expected * 1e-9 + 1e-9);
             // Positions owning only zero-length chunks are exactly free.
             for i in 0..g {
-                if position_tokens(len, g, i) == 0 {
-                    assert_eq!(position_total_flops(&cfg, len, g, i), 0.0);
-                    assert_eq!(ring_round_kv_bytes(&cfg, len, g, i, 0), 0.0);
+                if geom.tokens(i) == 0 {
+                    assert_eq!(geom.total_flops(&cfg, i), 0.0);
+                    assert_eq!(geom.round_kv_bytes(&cfg, i, 0), 0.0);
                 }
             }
         }
@@ -517,9 +456,8 @@ mod tests {
             assert_eq!(c.offset, offset);
             offset += c.len;
         }
-        let per: Vec<u64> = (0..4)
-            .map(|i| position_tokens_weighted(10_000, 4, &weights, i))
-            .collect();
+        let geom = RingGeometry::new(10_000, 4, &weights);
+        let per: Vec<u64> = (0..4).map(|i| geom.tokens(i)).collect();
         // Position shares track the weight ratios: slow < uniform < fast.
         assert!(per[1] < per[0] && per[0] < per[2], "{per:?}");
         assert_eq!(per[0], per[3]);
@@ -539,6 +477,10 @@ mod tests {
                 assert_eq!(chunks_with_weights(len, g, &[]), chunks(len, g));
                 assert_eq!(chunks_with_weights(len, g, &vec![777; g]), chunks(len, g));
                 assert_eq!(chunks_weighted(len, g, &vec![0.25; g]), chunks(len, g));
+                assert_eq!(
+                    RingGeometry::new(len, g, &vec![777; g]),
+                    RingGeometry::new(len, g, &[])
+                );
             }
         }
     }
@@ -548,9 +490,10 @@ mod tests {
         let cfg = llama_7b();
         let weights = [1024u32, 307, 2048, 1024, 512, 716];
         let (len, g) = (9_001u64, 6usize);
+        let geom = RingGeometry::new(len, g, &weights);
         let total: f64 = (0..g)
             .flat_map(|p| (0..g).map(move |r| (p, r)))
-            .map(|(p, r)| ring_round_flops_weighted(&cfg, len, g, &weights, p, r))
+            .map(|(p, r)| geom.round_flops(&cfg, p, r))
             .sum();
         let expected = attention_seq_flops(&cfg, len);
         assert!(
@@ -558,9 +501,7 @@ mod tests {
             "{total} vs {expected}"
         );
         for r in 0..g {
-            let kv: u64 = (0..g)
-                .map(|p| ring_round_kv_tokens_weighted(len, g, &weights, p, r))
-                .sum();
+            let kv: u64 = (0..g).map(|p| geom.tokens(kv_source(g, p, r))).sum();
             assert_eq!(kv, len);
         }
     }
@@ -574,14 +515,10 @@ mod tests {
         let len = 5u64;
         let cs = chunks_with_weights(len, 4, &weights);
         assert_eq!(cs.iter().map(|c| c.len).sum::<u64>(), len);
-        assert_eq!(position_tokens_weighted(len, 4, &weights, 1), 0);
-        assert_eq!(
-            position_total_flops_weighted(&cfg, len, 4, &weights, 1),
-            0.0
-        );
-        let total: u64 = (0..4)
-            .map(|i| position_tokens_weighted(len, 4, &weights, i))
-            .sum();
+        let geom = RingGeometry::new(len, 4, &weights);
+        assert_eq!(geom.tokens(1), 0);
+        assert_eq!(geom.total_flops(&cfg, 1), 0.0);
+        let total: u64 = (0..4).map(|i| geom.tokens(i)).sum();
         assert_eq!(total, len);
     }
 

@@ -9,6 +9,8 @@
 
 use zeppelin_sim::topology::Rank;
 
+use crate::chunking::RingGeometry;
+
 /// Which tier of the bandwidth hierarchy a sequence executes in (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Zone {
@@ -21,7 +23,7 @@ pub enum Zone {
 }
 
 /// How a multi-rank attention group exchanges KV activations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AttnMode {
     /// Ring attention: G rounds of send-receive overlapped with compute.
     Ring,
@@ -47,7 +49,7 @@ pub enum AttnMode {
 /// Homogeneous groups cut equal chunks; heterogeneity-aware schedulers
 /// declare per-position speed `weights` and chunks are cut
 /// speed-proportionally (§3.2 extended; see
-/// [`crate::chunking::chunks_with_weights`]).
+/// [`RingGeometry`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeqPlacement {
     /// Index of the sequence in the input batch (or a synthetic id for
@@ -78,20 +80,18 @@ impl SeqPlacement {
         self.ranks.len()
     }
 
+    /// Zigzag chunk geometry of this placement on its ring (sized by the
+    /// declared speed weights when present).
+    pub fn geometry(&self) -> RingGeometry {
+        RingGeometry::new(self.len, self.ranks.len(), &self.weights)
+    }
+
     /// Tokens resident on ring position `i` (zigzag: two chunks, sized by
-    /// the declared speed weights when present).
+    /// the declared speed weights when present). Allocation-free for
+    /// homogeneous placements; callers asking for every position of a
+    /// weighted placement should build [`SeqPlacement::geometry`] once.
     pub fn tokens_on_position(&self, i: usize) -> u64 {
-        let g = self.ranks.len();
-        debug_assert!(i < g);
-        if !self.weights.is_empty() {
-            return crate::chunking::position_tokens_weighted(self.len, g, &self.weights, i);
-        }
-        let g = g as u64;
-        let chunks = 2 * g;
-        let base = self.len / chunks;
-        let rem = self.len % chunks;
-        let chunk_len = |c: u64| base + u64::from(c < rem);
-        chunk_len(i as u64) + chunk_len(2 * g - 1 - i as u64)
+        self.geometry().tokens(i)
     }
 }
 
@@ -161,8 +161,12 @@ impl IterationPlan {
     pub fn tokens_per_rank(&self, total_ranks: usize, mb: usize) -> Vec<u64> {
         let mut tokens = vec![0u64; total_ranks];
         for p in self.placements.iter().filter(|p| p.micro_batch == mb) {
+            if p.ranks.is_empty() {
+                continue;
+            }
+            let geom = p.geometry();
             for (i, &r) in p.ranks.iter().enumerate() {
-                tokens[r] += p.tokens_on_position(i);
+                tokens[r] += geom.tokens(i);
             }
         }
         tokens

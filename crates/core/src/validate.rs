@@ -143,7 +143,7 @@ pub enum PlanViolation {
         capacity: u64,
     },
     /// Zigzag chunking of a placement fails its conservation/balance
-    /// contract (differential audit against `tokens_on_position`). For
+    /// contract (differential audit of its `RingGeometry`). For
     /// weighted placements the balance contract is speed-proportional: each
     /// position must hold its declared share within chunk rounding.
     RingChunkAsymmetry {
@@ -406,39 +406,33 @@ pub fn cluster_violations(plan: &IterationPlan, total_ranks: usize) -> Vec<PlanV
         // malformed weight vectors are already flagged structurally and
         // skipped here.
         let g = p.ranks.len();
-        if g > 0 && p.len > 0 {
-            if p.weights.is_empty() {
-                let per: Vec<u64> = (0..g).map(|i| p.tokens_on_position(i)).collect();
-                let resident: u64 = per.iter().sum();
+        let well_formed = p.weights.is_empty() || (p.weights.len() == g && !p.weights.contains(&0));
+        if g > 0 && p.len > 0 && well_formed {
+            let geom = p.geometry();
+            let per: Vec<u64> = (0..g).map(|i| geom.tokens(i)).collect();
+            let resident: u64 = per.iter().sum();
+            let balanced = if p.weights.is_empty() {
                 let max = per.iter().copied().max().unwrap_or(0);
                 let min = per.iter().copied().min().unwrap_or(0);
-                if resident != p.len || max - min > 1 {
-                    out.push(PlanViolation::RingChunkAsymmetry {
-                        seq_index: p.seq_index,
-                        len: p.len,
-                        resident,
-                    });
-                }
-            } else if p.weights.len() == g && !p.weights.contains(&0) {
-                let per: Vec<u64> = (0..g).map(|i| p.tokens_on_position(i)).collect();
-                let resident: u64 = per.iter().sum();
+                max - min <= 1
+            } else {
                 // Each position owns two chunks, each within one token of
                 // its exact proportional share, so in integer cross-
                 // multiplication: |tokens_i * W - len * 2 * w_i| <= 2 * W,
                 // where W is the total chunk weight (2 * sum of weights).
                 let wtot: u128 = p.weights.iter().map(|&w| 2 * u128::from(w)).sum();
-                let balanced = per.iter().zip(&p.weights).all(|(&t, &w)| {
+                per.iter().zip(&p.weights).all(|(&t, &w)| {
                     let have = u128::from(t) * wtot;
                     let want = u128::from(p.len) * 2 * u128::from(w);
                     have.abs_diff(want) <= 2 * wtot
+                })
+            };
+            if resident != p.len || !balanced {
+                out.push(PlanViolation::RingChunkAsymmetry {
+                    seq_index: p.seq_index,
+                    len: p.len,
+                    resident,
                 });
-                if resident != p.len || !balanced {
-                    out.push(PlanViolation::RingChunkAsymmetry {
-                        seq_index: p.seq_index,
-                        len: p.len,
-                        resident,
-                    });
-                }
             }
         }
     }
@@ -895,7 +889,7 @@ mod tests {
         assert!(cluster_violations(&plan, 16).is_empty());
         validate(&plan, &ctx()).unwrap();
         // The same token split without declared weights violates the
-        // homogeneous ±1 contract... which tokens_on_position can't even
+        // homogeneous ±1 contract... which the ring geometry can't even
         // express — so instead tamper the weights after the fact: a weight
         // vector of the wrong length is flagged structurally.
         let mut bad = placement(1, 12_000, vec![0, 1, 2, 3], Zone::IntraNode);

@@ -24,10 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use zeppelin_core::chunking::{
-    position_pair_flops_weighted, position_tokens_weighted, position_total_flops_weighted,
-    ring_round_flops_weighted, ring_round_kv_bytes_weighted,
-};
+use zeppelin_core::chunking::RingGeometry;
 use zeppelin_core::plan::{AttnMode, IterationPlan, SeqPlacement, Zone};
 use zeppelin_core::remap::{needs_remap, needs_remap_weighted, plan_remap, plan_remap_weighted};
 use zeppelin_core::routing::route_internode;
@@ -37,7 +34,7 @@ use zeppelin_model::flops::{
     BACKWARD_FLOPS_MULTIPLIER,
 };
 use zeppelin_model::kernel::{KernelModel, COMM_LAUNCH_OVERHEAD_S};
-use zeppelin_model::memory::hidden_bytes;
+use zeppelin_model::memory::{hidden_bytes, kv_bytes};
 use zeppelin_sim::engine::{Simulator, Stream, TaskId, TraceInfo};
 use zeppelin_sim::error::SimError;
 use zeppelin_sim::time::SimDuration;
@@ -292,21 +289,15 @@ pub fn lower_layer(
         // Group multi-rank placements by (ranks, mode, speed weights) —
         // differently-weighted sequences cut different chunk geometry, so
         // they must not fuse into one ring. Locals by rank.
-        type GroupKey = (Vec<Rank>, u8, Vec<u32>);
+        type GroupKey = (Vec<Rank>, AttnMode, Vec<u32>);
         let mut groups: BTreeMap<GroupKey, Vec<&SeqPlacement>> = BTreeMap::new();
         let mut locals: Vec<Vec<&SeqPlacement>> = vec![Vec::new(); nranks];
         for p in &placements {
             if p.ranks.len() == 1 {
                 locals[p.ranks[0]].push(p);
             } else {
-                let mode_key = match p.mode {
-                    AttnMode::Ring => 0u8,
-                    AttnMode::AllGather => 1u8,
-                    AttnMode::Ulysses => 2u8,
-                    AttnMode::DoubleRing => 3u8,
-                };
                 groups
-                    .entry((p.ranks.clone(), mode_key, p.weights.clone()))
+                    .entry((p.ranks.clone(), p.mode, p.weights.clone()))
                     .or_default()
                     .push(p);
             }
@@ -338,27 +329,26 @@ pub fn lower_layer(
             let mut seg_sends: Vec<Vec<TaskId>> = vec![Vec::new(); nranks];
 
             // Multi-rank groups in this segment.
-            for ((ranks, mode_key, weights), seqs) in groups
+            for ((ranks, mode, _), seqs) in groups
                 .iter()
-                .filter(|((_, _, _), v)| select(v.first().expect("non-empty group").zone))
+                .filter(|(_, v)| select(v.first().expect("non-empty group").zone))
             {
-                let lens: Vec<u64> = seqs.iter().map(|p| p.len).collect();
-                let (computes, sends) = match *mode_key {
-                    0 => lower_ring_group(
-                        sim, model, cfg, dir, plan, ranks, &lens, weights, &seg_dep, &comm_dep,
-                        &mut out, &peaks,
-                    )?,
-                    1 => lower_allgather_group(
-                        sim, model, cfg, dir, ranks, &lens, weights, &seg_dep, &comm_dep, &mut out,
+                // One geometry per sequence, shared by every round below.
+                let geoms: Vec<RingGeometry> = seqs.iter().map(|p| p.geometry()).collect();
+                let (computes, sends) = match mode {
+                    AttnMode::Ring => lower_ring_group(
+                        sim, model, cfg, dir, plan, ranks, &geoms, &seg_dep, &comm_dep, &mut out,
                         &peaks,
                     )?,
-                    2 => lower_ulysses_group(
-                        sim, model, cfg, dir, ranks, &lens, weights, &seg_dep, &comm_dep, &mut out,
-                        &peaks,
+                    AttnMode::AllGather => lower_allgather_group(
+                        sim, model, cfg, dir, ranks, &geoms, &seg_dep, &comm_dep, &mut out, &peaks,
                     )?,
-                    _ => lower_double_ring_group(
-                        sim, model, cfg, dir, plan, ranks, &lens, weights, &seg_dep, &comm_dep,
-                        &mut out, &peaks,
+                    AttnMode::Ulysses => lower_ulysses_group(
+                        sim, model, cfg, dir, ranks, &geoms, &seg_dep, &comm_dep, &mut out, &peaks,
+                    )?,
+                    AttnMode::DoubleRing => lower_double_ring_group(
+                        sim, model, cfg, dir, plan, ranks, &geoms, &seg_dep, &comm_dep, &mut out,
+                        &peaks,
                     )?,
                 };
                 for (rank, id) in computes {
@@ -622,8 +612,7 @@ fn lower_ring_group(
     dir: Direction,
     plan: &IterationPlan,
     ranks: &[Rank],
-    lens: &[u64],
-    weights: &[u32],
+    seqs: &[RingGeometry],
     seg_dep: &[Option<TaskId>],
     comm_dep: &[Option<TaskId>],
     out: &mut LayerOutcome,
@@ -641,11 +630,8 @@ fn lower_ring_group(
         // Compute round r on every position.
         let mut this_compute: Vec<TaskId> = Vec::with_capacity(g);
         for (p, &rank) in ranks.iter().enumerate() {
-            let flops: f64 = lens
-                .iter()
-                .map(|&len| ring_round_flops_weighted(model, len, g, weights, p, r))
-                .sum::<f64>()
-                * dir.flops_scale();
+            let flops: f64 =
+                seqs.iter().map(|s| s.round_flops(model, p, r)).sum::<f64>() * dir.flops_scale();
             let dur =
                 SimDuration::from_secs_f64(cfg.attention_kernel.kernel_time(flops, peaks[rank]));
             let mut deps: Vec<TaskId> = Vec::new();
@@ -677,9 +663,9 @@ fn lower_ring_group(
             for (p, &src) in ranks.iter().enumerate() {
                 let next = (p + 1) % g;
                 let dst = ranks[next];
-                let bytes: f64 = lens
+                let bytes: f64 = seqs
                     .iter()
-                    .map(|&len| ring_round_kv_bytes_weighted(model, len, g, weights, p, r))
+                    .map(|s| s.round_kv_bytes(model, p, r))
                     .sum::<f64>()
                     * dir.comm_scale();
                 // Send-recv semantics: both endpoints must post their
@@ -831,8 +817,7 @@ fn lower_allgather_group(
     cfg: &ExecConfig,
     dir: Direction,
     ranks: &[Rank],
-    lens: &[u64],
-    weights: &[u32],
+    seqs: &[RingGeometry],
     seg_dep: &[Option<TaskId>],
     comm_dep: &[Option<TaskId>],
     out: &mut LayerOutcome,
@@ -850,9 +835,9 @@ fn lower_allgather_group(
         for (p, &src) in ranks.iter().enumerate() {
             let next = (p + 1) % g;
             let dst = ranks[next];
-            let bytes: f64 = lens
+            let bytes: f64 = seqs
                 .iter()
-                .map(|&len| ring_round_kv_bytes_weighted(model, len, g, weights, p, r))
+                .map(|s| s.round_kv_bytes(model, p, r))
                 .sum::<f64>()
                 * dir.comm_scale();
             let mut send_deps: Vec<TaskId> = Vec::new();
@@ -909,11 +894,8 @@ fn lower_allgather_group(
     // One local attention kernel per rank over the fully gathered KV.
     let mut computes = Vec::with_capacity(g);
     for (p, &rank) in ranks.iter().enumerate() {
-        let flops: f64 = lens
-            .iter()
-            .map(|&len| position_total_flops_weighted(model, len, g, weights, p))
-            .sum::<f64>()
-            * dir.flops_scale();
+        let flops: f64 =
+            seqs.iter().map(|s| s.total_flops(model, p)).sum::<f64>() * dir.flops_scale();
         let dur = SimDuration::from_secs_f64(cfg.attention_kernel.kernel_time(flops, peaks[rank]));
         let mut deps: Vec<TaskId> = inbound[p].clone();
         deps.extend(seg_dep[rank]);
@@ -944,8 +926,7 @@ fn lower_ulysses_group(
     cfg: &ExecConfig,
     dir: Direction,
     ranks: &[Rank],
-    lens: &[u64],
-    weights: &[u32],
+    seqs: &[RingGeometry],
     seg_dep: &[Option<TaskId>],
     comm_dep: &[Option<TaskId>],
     out: &mut LayerOutcome,
@@ -955,11 +936,7 @@ fn lower_ulysses_group(
     let g = ranks.len();
     let h_bytes = model.hidden as f64 * model.dtype_bytes as f64;
     let shard_tokens: Vec<u64> = (0..g)
-        .map(|p| {
-            lens.iter()
-                .map(|&len| position_tokens_weighted(len, g, weights, p))
-                .sum()
-        })
+        .map(|p| seqs.iter().map(|s| s.tokens(p)).sum())
         .collect();
     let mut sends: Vec<(Rank, TaskId)> = Vec::new();
 
@@ -1022,9 +999,9 @@ fn lower_ulysses_group(
     // for heads/G heads — perfectly balanced by construction.
     let mut compute_ids: Vec<TaskId> = Vec::with_capacity(g);
     for (p, &rank) in ranks.iter().enumerate() {
-        let flops: f64 = lens
+        let flops: f64 = seqs
             .iter()
-            .map(|&len| zeppelin_model::flops::attention_seq_flops(model, len))
+            .map(|s| attention_seq_flops(model, s.seq_len()))
             .sum::<f64>()
             / g as f64
             * dir.flops_scale();
@@ -1090,8 +1067,7 @@ fn lower_double_ring_group(
     dir: Direction,
     plan: &IterationPlan,
     ranks: &[Rank],
-    lens: &[u64],
-    weights: &[u32],
+    seqs: &[RingGeometry],
     seg_dep: &[Option<TaskId>],
     comm_dep: &[Option<TaskId>],
     out: &mut LayerOutcome,
@@ -1117,7 +1093,7 @@ fn lower_double_ring_group(
     };
     if !uniform {
         return lower_ring_group(
-            sim, model, cfg, dir, plan, ranks, lens, weights, seg_dep, comm_dep, out, peaks,
+            sim, model, cfg, dir, plan, ranks, seqs, seg_dep, comm_dep, out, peaks,
         );
     }
     let m = g / n;
@@ -1136,9 +1112,9 @@ fn lower_double_ring_group(
         let mut this_compute: Vec<TaskId> = Vec::with_capacity(g);
         for (p, &rank) in ranks.iter().enumerate() {
             let src = source(p, t);
-            let flops: f64 = lens
+            let flops: f64 = seqs
                 .iter()
-                .map(|&len| position_pair_flops_weighted(model, len, g, weights, p, src))
+                .map(|s| s.pair_flops(model, p, src))
                 .sum::<f64>()
                 * dir.flops_scale();
             let dur =
@@ -1176,13 +1152,9 @@ fn lower_double_ring_group(
                     ((a + 1) % n) * m + (b + 1) % m
                 };
                 let dst = ranks[dst_pos];
-                let bytes: f64 = lens
+                let bytes: f64 = seqs
                     .iter()
-                    .map(|&len| {
-                        2.0 * position_tokens_weighted(len, g, weights, source(p, t)) as f64
-                            * model.hidden as f64
-                            * model.dtype_bytes as f64
-                    })
+                    .map(|s| kv_bytes(model, s.tokens(source(p, t))))
                     .sum::<f64>()
                     * dir.comm_scale();
                 let mut send_deps: Vec<TaskId> = Vec::new();

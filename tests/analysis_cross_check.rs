@@ -3,12 +3,19 @@
 //! the same exact pair accounting as the lowered DAG, so the simulated
 //! attention busy time must match to the nanosecond (modulo the executor's
 //! `SimDuration` round-up per kernel).
+//!
+//! Honors `PROPTEST_CASES` like the other property suites; CI runs this
+//! file in the deep sweep.
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use zeppelin::baselines::{DoubleRingCp, LlamaCp, TeCp, Ulysses};
+use zeppelin::baselines::{
+    scheduler_by_name, DoubleRingCp, LlamaCp, TeCp, Ulysses, SCHEDULER_NAMES,
+};
 use zeppelin::core::analysis::analyze;
+use zeppelin::core::plan::IterationPlan;
 use zeppelin::core::scheduler::{Scheduler, SchedulerCtx};
 use zeppelin::core::zeppelin::Zeppelin;
 use zeppelin::data::batch::{sample_batch, Batch};
@@ -18,12 +25,19 @@ use zeppelin::model::config::llama_3b;
 use zeppelin::sim::topology::cluster_a;
 
 fn check(scheduler: &dyn Scheduler, batch: &Batch) {
-    let cluster = cluster_a(2);
-    let model = llama_3b();
-    let ctx = SchedulerCtx::new(&cluster, &model);
+    let ctx = SchedulerCtx::new(&cluster_a(2), &llama_3b());
     let plan = scheduler.plan(batch, &ctx).expect("plan");
-    let analysis = analyze(&plan, &model, &cluster);
-    let report = simulate_plan(&plan, batch, &ctx, &StepConfig::default()).expect("simulate");
+    check_plan(&plan, batch, &ctx, &StepConfig::default());
+}
+
+/// Analyzes and simulates `plan` in `ctx`. A `ctx.rank_speed` reaches only
+/// the scheduler: the executor's physics stay homogeneous, so declared
+/// plan weights are the one input the analyzer and the executor must both
+/// honor.
+fn check_plan(plan: &IterationPlan, batch: &Batch, ctx: &SchedulerCtx, cfg: &StepConfig) {
+    let (cluster, model) = (&ctx.cluster, &ctx.model);
+    let analysis = analyze(plan, model, cluster);
+    let report = simulate_plan(plan, batch, ctx, cfg).expect("simulate");
     // Per-kernel round-up to whole nanoseconds bounds the divergence by
     // 1 ns per kernel; a generous epsilon covers every batch here.
     for (rank, est) in analysis.ranks.iter().enumerate() {
@@ -81,4 +95,40 @@ fn analyzer_memory_check_agrees_with_scheduler_capacity() {
     let analysis = analyze(&plan, &model, &cluster);
     // The partitioner enforced capacity (+ fragment rounding slack).
     assert!(analysis.fits(ctx.capacity + 64));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(36))]
+
+    /// Each registry scheduler planning against random per-rank speeds,
+    /// on 16 or 32 GPUs: speed-aware schedulers declare chunk weights, and
+    /// the analyzer must price the weighted geometry the executor lowers.
+    /// One scheduler per case keeps a deep sweep affordable.
+    #[test]
+    fn static_attention_matches_simulated_under_random_rank_speeds(
+        name in 0usize..SCHEDULER_NAMES.len(),
+        nodes in prop_oneof![Just(2usize), Just(4usize)],
+        lens in prop::collection::vec(64u64..12_000, 1..8),
+        speed in prop::collection::vec(1u32..=1024, 32),
+    ) {
+        let cluster = cluster_a(nodes);
+        let speed: Vec<f64> = speed[..cluster.total_gpus()]
+            .iter()
+            .map(|&q| f64::from(q) / 1024.0)
+            .collect();
+        let ctx = SchedulerCtx::new(&cluster, &llama_3b())
+            .with_capacity(4_096)
+            .with_rank_speed(speed);
+        let batch = Batch::new(lens);
+        // Some baselines overfill ranks at this capacity; the audit that
+        // rejects them is beside the point of a cost cross-check.
+        let cfg = StepConfig {
+            audit_plans: false,
+            ..StepConfig::default()
+        };
+        let scheduler = scheduler_by_name(SCHEDULER_NAMES[name]).expect("registry name");
+        if let Ok(plan) = scheduler.plan(&batch, &ctx) {
+            check_plan(&plan, &batch, &ctx, &cfg);
+        }
+    }
 }
