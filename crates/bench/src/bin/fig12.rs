@@ -22,7 +22,7 @@ use zeppelin_sim::topology::ClusterSpec;
 use zeppelin_sim::trace::{Trace, TraceCategory};
 
 /// Mean/max duration in microseconds of events in a category, filtered on
-/// whether the `src->dst` pair in the label crosses nodes.
+/// whether the label's `src->dst` edge crosses nodes.
 fn comm_stats(
     trace: &Trace,
     cluster: &ClusterSpec,
@@ -35,7 +35,7 @@ fn comm_stats(
             continue;
         }
         if let Some(want_cross) = cross_node {
-            let Some((src, dst)) = parse_endpoints(&ev.label) else {
+            let Some((src, dst)) = ev.label.edge() else {
                 continue;
             };
             if cluster.same_node(src, dst) == want_cross {
@@ -51,16 +51,6 @@ fn comm_stats(
     let mean = durations.iter().sum::<f64>() / n as f64;
     let max = durations.iter().cloned().fold(0.0f64, f64::max);
     Some((n, mean, max))
-}
-
-/// Parses `... 7->8` endpoint suffixes from trace labels.
-fn parse_endpoints(label: &str) -> Option<(usize, usize)> {
-    let arrow = label.rfind("->")?;
-    let dst: usize = label[arrow + 2..].trim().parse().ok()?;
-    let before = &label[..arrow];
-    let src_start = before.rfind(|c: char| !c.is_ascii_digit())? + 1;
-    let src: usize = before[src_start..].parse().ok()?;
-    Some((src, dst))
 }
 
 fn describe(name: &str, report: &StepReport, cluster: &ClusterSpec) {

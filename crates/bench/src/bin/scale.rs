@@ -73,7 +73,7 @@ fn parse_args() -> Args {
     }
     assert!(args.group >= 2, "--group must be at least 2 nodes");
     assert!(
-        args.nodes % args.group == 0,
+        args.nodes.is_multiple_of(args.group),
         "--nodes must be a multiple of --group"
     );
     args

@@ -39,7 +39,7 @@ use zeppelin_sim::engine::{Simulator, Stream, TaskId, TraceInfo};
 use zeppelin_sim::error::SimError;
 use zeppelin_sim::time::SimDuration;
 use zeppelin_sim::topology::Rank;
-use zeppelin_sim::trace::TraceCategory;
+use zeppelin_sim::trace::{TraceCategory, TraceLabel};
 
 /// Pass direction; backward scales FLOPs and communication volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -384,7 +384,7 @@ pub fn lower_layer(
                         Some(TraceInfo {
                             rank,
                             category: TraceCategory::AttentionCompute,
-                            label: format!("attn-local {}", dir.label()),
+                            label: TraceLabel::new("attn-local").with_tail(dir.label()),
                         }),
                     )?;
                     seg_computes[rank].push(id);
@@ -452,7 +452,7 @@ pub fn lower_layer(
                     Some(TraceInfo {
                         rank: m.from,
                         category: TraceCategory::Remap,
-                        label: format!("remap {}->{}", m.from, m.to),
+                        label: TraceLabel::new("remap").with_edge(m.from, m.to),
                     }),
                 )?;
                 inbound[m.to].push(flow);
@@ -487,7 +487,7 @@ pub fn lower_layer(
                 Some(TraceInfo {
                     rank,
                     category: TraceCategory::LinearCompute,
-                    label: format!("linear {}", dir.label()),
+                    label: TraceLabel::new("linear").with_tail(dir.label()),
                 }),
             )?;
             linear_ids[rank] = Some(id);
@@ -515,7 +515,7 @@ pub fn lower_layer(
                     Some(TraceInfo {
                         rank: m.to,
                         category: TraceCategory::Remap,
-                        label: format!("unmap {}->{}", m.to, m.from),
+                        label: TraceLabel::new("unmap").with_edge(m.to, m.from),
                     }),
                 )?;
                 inverse_in[m.from].push(flow);
@@ -583,7 +583,7 @@ pub fn lower_layer(
                     Some(TraceInfo {
                         rank: src,
                         category: TraceCategory::Other,
-                        label: format!("grad-ar {}->{}", src, dst),
+                        label: TraceLabel::new("grad-ar").with_edge(src, dst),
                     }),
                 )?;
                 out.comm_tasks.push(flow);
@@ -649,7 +649,9 @@ fn lower_ring_group(
                 Some(TraceInfo {
                     rank,
                     category: TraceCategory::AttentionCompute,
-                    label: format!("attn r{r} {}", dir.label()),
+                    label: TraceLabel::new("attn")
+                        .with_round("r", r)
+                        .with_tail(dir.label()),
                 }),
             )?;
             this_compute.push(id);
@@ -706,7 +708,7 @@ fn lower_ring_group(
                         Some(TraceInfo {
                             rank: src,
                             category: TraceCategory::RingComm,
-                            label: format!("kv r{r} {}->{}", src, dst),
+                            label: TraceLabel::new("kv").with_round("r", r).with_edge(src, dst),
                         }),
                     )?;
                     out.comm_tasks.push(flow);
@@ -757,7 +759,7 @@ fn lower_routed_transfer(
                         Some(TraceInfo {
                             rank: d.src,
                             category: TraceCategory::Dispatch,
-                            label: format!("dispatch {}->{}", d.src, d.dst),
+                            label: TraceLabel::new("dispatch").with_edge(d.src, d.dst),
                         }),
                     )?;
                     out.comm_tasks.push(t);
@@ -776,7 +778,7 @@ fn lower_routed_transfer(
                 Some(TraceInfo {
                     rank: inter.src,
                     category: TraceCategory::InterNode,
-                    label: format!("inter {}->{}", inter.src, inter.dst),
+                    label: TraceLabel::new("inter").with_edge(inter.src, inter.dst),
                 }),
             )?;
             out.comm_tasks.push(stage2);
@@ -793,7 +795,7 @@ fn lower_routed_transfer(
                         Some(TraceInfo {
                             rank: c.src,
                             category: TraceCategory::Combine,
-                            label: format!("combine {}->{}", c.src, c.dst),
+                            label: TraceLabel::new("combine").with_edge(c.src, c.dst),
                         }),
                     )?;
                     out.comm_tasks.push(t);
@@ -877,7 +879,9 @@ fn lower_allgather_group(
                     Some(TraceInfo {
                         rank: src,
                         category: TraceCategory::RingComm,
-                        label: format!("allgather r{r} {}->{}", src, dst),
+                        label: TraceLabel::new("allgather")
+                            .with_round("r", r)
+                            .with_edge(src, dst),
                     }),
                 )?;
                 out.comm_tasks.push(f);
@@ -907,7 +911,7 @@ fn lower_allgather_group(
             Some(TraceInfo {
                 rank,
                 category: TraceCategory::AttentionCompute,
-                label: format!("attn-ag {}", dir.label()),
+                label: TraceLabel::new("attn-ag").with_tail(dir.label()),
             }),
         )?;
         computes.push((rank, id));
@@ -946,7 +950,7 @@ fn lower_ulysses_group(
                sends: &mut Vec<(Rank, TaskId)>,
                per_pair_bytes: &dyn Fn(usize) -> f64,
                gate: &dyn Fn(usize) -> Option<TaskId>,
-               label: &str|
+               label: &'static str|
      -> Result<Vec<Vec<TaskId>>, SimError> {
         let mut inbound: Vec<Vec<TaskId>> = vec![Vec::new(); g];
         for p in 0..g {
@@ -980,7 +984,7 @@ fn lower_ulysses_group(
                     Some(TraceInfo {
                         rank: src,
                         category: TraceCategory::RingComm,
-                        label: format!("{label} {}->{}", src, dst),
+                        label: TraceLabel::new(label).with_edge(src, dst),
                     }),
                 )?;
                 out.comm_tasks.push(flow);
@@ -1016,7 +1020,7 @@ fn lower_ulysses_group(
             Some(TraceInfo {
                 rank,
                 category: TraceCategory::AttentionCompute,
-                label: format!("attn-ulysses {}", dir.label()),
+                label: TraceLabel::new("attn-ulysses").with_tail(dir.label()),
             }),
         )?;
         compute_ids.push(id);
@@ -1134,7 +1138,9 @@ fn lower_double_ring_group(
                 Some(TraceInfo {
                     rank,
                     category: TraceCategory::AttentionCompute,
-                    label: format!("attn dr{t} {}", dir.label()),
+                    label: TraceLabel::new("attn")
+                        .with_round("dr", t)
+                        .with_tail(dir.label()),
                 }),
             )?;
             this_compute.push(id);
@@ -1192,7 +1198,9 @@ fn lower_double_ring_group(
                         Some(TraceInfo {
                             rank: src_rank,
                             category: TraceCategory::RingComm,
-                            label: format!("dr-kv t{t} {}->{}", src_rank, dst),
+                            label: TraceLabel::new("dr-kv")
+                                .with_round("t", t)
+                                .with_edge(src_rank, dst),
                         }),
                     )?;
                     out.comm_tasks.push(flow);
@@ -1529,11 +1537,9 @@ mod tests {
                 .iter()
                 .filter(|e| {
                     e.category == TraceCategory::RingComm && {
-                        // Labels end in "src->dst".
-                        let lbl = &e.label;
-                        let arrow = lbl.rfind("->").unwrap();
-                        let dst: usize = lbl[arrow + 2..].trim().parse().unwrap();
-                        !c.same_node(e.rank, dst)
+                        let (src, dst) = e.label.edge().expect("ring sends name their edge");
+                        assert_eq!(src, e.rank);
+                        !c.same_node(src, dst)
                     }
                 })
                 .count();
@@ -1575,8 +1581,10 @@ mod tests {
         // together and the ring beats the uniform-chunk layout.
         let c = tiny_cluster(1, 4);
         let model = llama_3b();
-        let mut cfg = ExecConfig::default();
-        cfg.rank_speed = vec![1.0, 0.5, 1.0, 1.0];
+        let cfg = ExecConfig {
+            rank_speed: vec![1.0, 0.5, 1.0, 1.0],
+            ..ExecConfig::default()
+        };
         let t = |weights: Vec<u32>| {
             let mut plan = ring_plan(vec![0, 1, 2, 3], 32_768, Zone::IntraNode, false);
             plan.placements[0].weights = weights;

@@ -4,6 +4,11 @@
 //! carry identical structure every layer in pure data parallelism) and
 //! scales by the layer count. The report carries phase breakdowns per rank
 //! (Table 3), traces (Fig. 12) and throughput (Fig. 8–10).
+//!
+//! The two directions share no mutable state, so [`simulate_plan`] lowers
+//! and runs the backward pass on a scoped thread while the calling thread
+//! does the forward pass; the report is the same as running them one after
+//! the other.
 
 use std::collections::BTreeMap;
 
@@ -18,7 +23,7 @@ use zeppelin_sim::engine::Simulator;
 use zeppelin_sim::error::SimError;
 use zeppelin_sim::fault::FaultSchedule;
 use zeppelin_sim::time::SimDuration;
-use zeppelin_sim::topology::Rank;
+use zeppelin_sim::topology::{Port, Rank};
 use zeppelin_sim::trace::{Trace, TraceCategory};
 
 use crate::lower::{lower_layer, Direction, ExecConfig, ExecConfigError};
@@ -128,9 +133,11 @@ pub struct PhaseBreakdown {
     pub comm: Vec<SimDuration>,
 }
 
+/// Busy time per `(rank, category)` of one direction's trace.
+type BusyMap = BTreeMap<(Rank, TraceCategory), SimDuration>;
+
 impl PhaseBreakdown {
-    fn from_trace(trace: &Trace, nranks: usize) -> PhaseBreakdown {
-        let busy: BTreeMap<(Rank, TraceCategory), SimDuration> = trace.busy_by_rank_category();
+    fn from_busy(busy: &BusyMap, nranks: usize) -> PhaseBreakdown {
         let pick = |cats: &[TraceCategory]| -> Vec<SimDuration> {
             (0..nranks)
                 .map(|r| {
@@ -193,6 +200,14 @@ pub struct StepReport {
     pub trace_backward: Trace,
     /// The plan itself (for zone/assignment inspection).
     pub plan: IterationPlan,
+}
+
+/// What [`simulate_plan`] keeps from one direction's simulation.
+struct DirectionRun {
+    layer: SimDuration,
+    trace: Trace,
+    busy: BusyMap,
+    nic_util: Vec<f64>,
 }
 
 /// Multiplier on linear-module time from MoE routing imbalance: the
@@ -312,41 +327,58 @@ pub fn simulate_plan(
         moe_linear_factor(&ctx.model, batch.total_tokens(), cfg.seed, cfg.moe_skew);
 
     let chained = cfg.chained_layers.max(1);
-    let run_direction =
-        |dir: Direction| -> Result<(SimDuration, Trace, Vec<f64>, Vec<f64>), StepError> {
-            let mut sim = Simulator::new(&ctx.cluster);
-            let mut entry: Vec<Option<zeppelin_sim::engine::TaskId>> = vec![None; nranks];
-            for _ in 0..chained {
-                let out = lower_layer(&mut sim, &ctx.model, plan, &exec, dir, &entry)?;
-                entry = out.exit.into_iter().map(Some).collect();
-            }
-            let report = sim.run_with_faults(&cfg.faults)?;
-            let makespan = SimDuration::from_nanos(report.makespan.as_nanos() / chained as u64);
-            let nics = ctx.cluster.nodes * ctx.cluster.node.nic_count;
-            let nic_util: Vec<f64> = (0..nics)
-                .map(|n| {
-                    report.port_utilization(&ctx.cluster, zeppelin_sim::topology::Port::NicTx(n))
-                })
-                .collect();
-            let busy = report.trace.busy_by_rank_category();
-            let span_secs = makespan.as_secs_f64().max(1e-30);
-            let compute_busy: Vec<f64> = (0..nranks)
-                .map(|r| {
-                    use zeppelin_sim::trace::TraceCategory as C;
-                    let b = [C::AttentionCompute, C::LinearCompute]
-                        .iter()
-                        .filter_map(|&c| busy.get(&(r, c)))
-                        .map(|d| d.as_secs_f64())
-                        .sum::<f64>();
-                    (b / span_secs).min(1.0)
-                })
-                .collect();
-            Ok((makespan, report.trace, nic_util, compute_busy))
+    // One direction's layer time, trace, busy map, and (forward only) NIC
+    // transmit utilization.
+    let run_direction = |dir: Direction| -> Result<DirectionRun, StepError> {
+        let mut sim = Simulator::new(&ctx.cluster);
+        let mut entry: Vec<Option<zeppelin_sim::engine::TaskId>> = vec![None; nranks];
+        for _ in 0..chained {
+            let out = lower_layer(&mut sim, &ctx.model, plan, &exec, dir, &entry)?;
+            entry = out.exit.into_iter().map(Some).collect();
+        }
+        let report = sim.run_with_faults(&cfg.faults)?;
+        drop(sim);
+        let nic_util = match dir {
+            Direction::Forward => (0..ctx.cluster.total_nics())
+                .map(|n| report.port_utilization(&ctx.cluster, Port::NicTx(n)))
+                .collect(),
+            Direction::Backward => Vec::new(),
         };
+        Ok(DirectionRun {
+            layer: SimDuration::from_nanos(report.makespan.as_nanos() / chained as u64),
+            busy: report.trace.busy_by_rank_category(),
+            trace: report.trace,
+            nic_util,
+        })
+    };
 
-    let (layer_forward, trace_forward, nic_tx_utilization, compute_busy_frac) =
-        run_direction(Direction::Forward)?;
-    let (layer_backward, trace_backward, _, _) = run_direction(Direction::Backward)?;
+    // Backward on a scoped thread, forward here. Forward's error is
+    // reported first, as when the directions ran in sequence, and a panic
+    // on the backward thread resumes on this one.
+    let (forward, backward) = std::thread::scope(|s| {
+        let backward = s.spawn(|| run_direction(Direction::Backward));
+        let forward = run_direction(Direction::Forward);
+        let backward = backward
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (forward, backward)
+    });
+    let (forward, backward) = (forward?, backward?);
+    let (layer_forward, layer_backward) = (forward.layer, backward.layer);
+    let span_secs = layer_forward.as_secs_f64().max(1e-30);
+    let compute_busy_frac: Vec<f64> = (0..nranks)
+        .map(|r| {
+            let b = [
+                TraceCategory::AttentionCompute,
+                TraceCategory::LinearCompute,
+            ]
+            .iter()
+            .filter_map(|&c| forward.busy.get(&(r, c)))
+            .map(|d| d.as_secs_f64())
+            .sum::<f64>();
+            (b / span_secs).min(1.0)
+        })
+        .collect();
 
     let layers = ctx.model.layers as u64;
     let per_layer = layer_forward.saturating_add(layer_backward);
@@ -370,12 +402,12 @@ pub fn simulate_plan(
         tokens,
         throughput,
         plan_wall: std::time::Duration::ZERO,
-        forward_phase: PhaseBreakdown::from_trace(&trace_forward, nranks),
-        backward_phase: PhaseBreakdown::from_trace(&trace_backward, nranks),
-        nic_tx_utilization,
+        forward_phase: PhaseBreakdown::from_busy(&forward.busy, nranks),
+        backward_phase: PhaseBreakdown::from_busy(&backward.busy, nranks),
+        nic_tx_utilization: forward.nic_util,
         compute_busy_frac,
-        trace_forward,
-        trace_backward,
+        trace_forward: forward.trace,
+        trace_backward: backward.trace,
         plan: plan.clone(),
     })
 }
@@ -470,8 +502,10 @@ mod tests {
 
     #[test]
     fn nan_moe_skew_is_rejected_with_a_typed_error() {
-        let mut cfg = StepConfig::default();
-        cfg.moe_skew = f64::NAN;
+        let cfg = StepConfig {
+            moe_skew: f64::NAN,
+            ..StepConfig::default()
+        };
         let err = simulate_step(&Zeppelin::new(), &mixed_batch(), &ctx(), &cfg).unwrap_err();
         assert!(
             matches!(err, StepError::Exec(ExecConfigError::MoeSkew { .. })),

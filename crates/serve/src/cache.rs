@@ -505,9 +505,7 @@ mod tests {
     fn digest_hasher_passes_the_stored_digest_through() {
         let ctx = ctx();
         let (key, _) = PlanKey::new("zeppelin", &Batch::new(vec![9000, 500]), &ctx);
-        let mut h = DigestHasherBuilder.build_hasher();
-        key.hash(&mut h);
-        assert_eq!(h.finish(), key.digest());
+        assert_eq!(DigestHasherBuilder.hash_one(&key), key.digest());
     }
 
     #[test]

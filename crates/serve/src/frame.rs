@@ -337,7 +337,7 @@ mod tests {
 
     #[test]
     fn oversized_frame_at_eof_reports_then_ends() {
-        let out = frames(&vec![b'x'; 100], 16);
+        let out = frames(&[b'x'; 100], 16);
         assert_eq!(
             out,
             vec![

@@ -20,7 +20,7 @@ use crate::engine::{Simulator, Stream, TaskId, TraceInfo};
 use crate::error::SimError;
 use crate::time::SimDuration;
 use crate::topology::Rank;
-use crate::trace::TraceCategory;
+use crate::trace::{TraceCategory, TraceLabel};
 
 /// Launch latency charged per p2p operation inside a collective, seconds.
 const LAUNCH_S: f64 = 15e-6;
@@ -67,7 +67,7 @@ pub fn ring_allgather(
     ranks: &[Rank],
     bytes_per_rank: f64,
     deps: &[Option<TaskId>],
-    label: &str,
+    label: &'static str,
 ) -> Result<Vec<TaskId>, SimError> {
     validate_group(ranks);
     let cluster = sim.cluster().clone();
@@ -93,7 +93,10 @@ pub fn ring_allgather(
                 Some(TraceInfo {
                     rank: src,
                     category: TraceCategory::Other,
-                    label: format!("{label}-ag r{round} {src}->{dst}"),
+                    label: TraceLabel::new(label)
+                        .with_suffix("-ag")
+                        .with_round("r", round)
+                        .with_edge(src, dst),
                 }),
             )?;
             next_arrive[next] = Some(flow);
@@ -126,7 +129,7 @@ pub fn ring_allreduce(
     ranks: &[Rank],
     total_bytes: f64,
     deps: &[Option<TaskId>],
-    label: &str,
+    label: &'static str,
 ) -> Result<Vec<TaskId>, SimError> {
     validate_group(ranks);
     let cluster = sim.cluster().clone();
@@ -154,7 +157,10 @@ pub fn ring_allreduce(
                 Some(TraceInfo {
                     rank: src,
                     category: TraceCategory::Other,
-                    label: format!("{label}-ar r{round} {src}->{dst}"),
+                    label: TraceLabel::new(label)
+                        .with_suffix("-ar")
+                        .with_round("r", round)
+                        .with_edge(src, dst),
                 }),
             )?;
             next_arrive[next] = Some(flow);
@@ -187,7 +193,7 @@ pub fn all_to_all(
     ranks: &[Rank],
     bytes: &[Vec<f64>],
     deps: &[Option<TaskId>],
-    label: &str,
+    label: &'static str,
 ) -> Result<Vec<TaskId>, SimError> {
     validate_group(ranks);
     let g = ranks.len();
@@ -211,7 +217,9 @@ pub fn all_to_all(
                 Some(TraceInfo {
                     rank: src,
                     category: TraceCategory::Other,
-                    label: format!("{label}-a2a {src}->{dst}"),
+                    label: TraceLabel::new(label)
+                        .with_suffix("-a2a")
+                        .with_edge(src, dst),
                 }),
             )?;
             inbound[q].push(flow);

@@ -13,6 +13,17 @@
 //! Dependencies must point at already-created tasks, which statically rules
 //! out cycles. The engine is fully deterministic: identical inputs produce
 //! identical schedules.
+//!
+//! # Storage
+//!
+//! The DAG is stored flat. Each task is one 24-byte `Copy` record; its
+//! dependencies and, for a transfer, its path live in one `u32` link arena
+//! indexed CSR-style (a task's links run up to the next task's). Paths are
+//! the dense port ids of [`ClusterSpec::port_id`]; the flow network drops
+//! repeated ports when the transfer starts. Trace attribution is kept only
+//! for traced tasks. A run builds the reverse (dependents) index in the
+//! same CSR form, so neither building nor running a DAG allocates per
+//! task.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
@@ -20,10 +31,10 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use crate::arena::{Slab, SlabKey};
 use crate::error::SimError;
 use crate::fault::FaultSchedule;
-use crate::network::{FlowKey, FlowNetwork, NetStats};
+use crate::network::{FlowNetwork, NetStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{ClusterSpec, Port, Rank};
-use crate::trace::{Trace, TraceCategory, TraceEvent};
+use crate::trace::{Trace, TraceCategory, TraceEvent, TraceLabel};
 
 /// Identifies a task within one [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,50 +50,54 @@ pub enum Stream {
     Comm(u8),
 }
 
-/// What a task does when it runs.
-#[derive(Debug, Clone)]
-pub enum TaskKind {
-    /// Occupies `(rank, stream)` for `duration`.
-    Compute {
-        /// GPU executing the kernel.
-        rank: Rank,
-        /// Stream the kernel serializes on.
-        stream: Stream,
-        /// Kernel duration.
-        duration: SimDuration,
-    },
-    /// Moves `bytes` across `path` through the shared flow network.
-    Transfer {
-        /// Bytes to move.
-        bytes: f64,
-        /// Port path (see [`ClusterSpec::direct_path`] and the routing layer).
-        path: Vec<Port>,
-    },
-    /// Completes instantly once all dependencies complete.
-    Marker,
-}
-
 /// Trace attribution for a task (optional; untraced tasks still execute).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceInfo {
     /// Rank the event is attributed to in the timeline.
     pub rank: Rank,
     /// Event category (colours lanes in trace viewers).
     pub category: TraceCategory,
     /// Human-readable label.
-    pub label: String,
+    pub label: TraceLabel,
 }
 
-/// A task plus its dependencies.
-#[derive(Debug, Clone)]
-pub struct TaskSpec {
-    /// The work performed.
-    pub kind: TaskKind,
-    /// Tasks that must complete first; each id must be `<` this task's id.
-    pub deps: Vec<TaskId>,
-    /// Optional timeline attribution.
-    pub trace: Option<TraceInfo>,
+/// What one task does when it runs.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Occupies `(rank, stream)` for `duration`.
+    Compute {
+        rank: u32,
+        stream: Stream,
+        duration: SimDuration,
+    },
+    /// Moves `bytes` over the task's path.
+    Transfer { bytes: f64 },
+    /// Completes instantly once all dependencies complete.
+    Marker,
 }
+
+/// One task: its op and where its links start. The links hold the task's
+/// `deps` dependency ids, then (for a transfer) its path's port ids, and
+/// end where the next task's links start.
+#[derive(Debug, Clone, Copy)]
+struct Task {
+    op: Op,
+    links: u32,
+    deps: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Task>() <= 24);
+
+/// A traced task's attribution, packed: 48 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Traced {
+    task: u32,
+    rank: u32,
+    category: TraceCategory,
+    label: TraceLabel,
+}
+
+const _: () = assert!(std::mem::size_of::<Traced>() <= 48);
 
 /// Engine and allocator counters for one run.
 ///
@@ -106,8 +121,9 @@ pub struct SimReport {
     pub spans: Vec<(SimTime, SimTime)>,
     /// Timeline of traced tasks.
     pub trace: Trace,
-    /// Total bytes that traversed each port (utilization accounting).
-    pub port_bytes: std::collections::HashMap<Port, f64>,
+    /// Total bytes that traversed each port (utilization accounting),
+    /// indexed by dense port id ([`ClusterSpec::port_id`]).
+    pub port_bytes: Vec<f64>,
     /// Performance counters (see [`SimStats`]; not simulated semantics).
     pub stats: SimStats,
 }
@@ -124,6 +140,15 @@ impl SimReport {
         e.since(s)
     }
 
+    /// Bytes that traversed `port`; 0.0 for unused or foreign ports.
+    pub fn bytes_through(&self, cluster: &ClusterSpec, port: Port) -> f64 {
+        cluster
+            .port_id(port)
+            .and_then(|id| self.port_bytes.get(id as usize))
+            .copied()
+            .unwrap_or(0.0)
+    }
+
     /// Fraction of a port's capacity used over the whole makespan
     /// (`bytes / (capacity · makespan)`); 0.0 for unused ports or an empty
     /// schedule.
@@ -132,8 +157,7 @@ impl SimReport {
         if secs <= 0.0 {
             return 0.0;
         }
-        let bytes = self.port_bytes.get(&port).copied().unwrap_or(0.0);
-        bytes / (cluster.port_capacity(port) * secs)
+        self.bytes_through(cluster, port) / (cluster.port_capacity(port) * secs)
     }
 }
 
@@ -141,7 +165,7 @@ impl SimReport {
 enum Event {
     /// A kernel completes; the generation invalidates completions scheduled
     /// before a fault changed the rank's compute speed.
-    ComputeDone(TaskId, u64),
+    ComputeDone(u32, u32),
     NetCheck(u64),
     /// A fault window opens, closes, or a crash fires at this instant.
     Fault,
@@ -150,7 +174,7 @@ enum Event {
 /// A kernel currently occupying a stream, tracked so fault boundaries can
 /// settle partial progress and reschedule the completion.
 struct RunningKernel {
-    task: TaskId,
+    task: u32,
     /// Nominal (full-speed) nanoseconds of work left as of `since`.
     left_ns: f64,
     /// Instant the current speed segment began.
@@ -160,7 +184,7 @@ struct RunningKernel {
 #[derive(Default)]
 struct StreamState {
     busy: bool,
-    queue: VecDeque<TaskId>,
+    queue: VecDeque<u32>,
     running: Option<RunningKernel>,
 }
 
@@ -177,10 +201,21 @@ fn kernel_eta(left_ns: f64, speed: f64) -> SimDuration {
     }
 }
 
+/// Narrows a task id or rank to the `u32` the arenas store.
+fn narrow(value: usize, what: &str) -> Result<u32, SimError> {
+    u32::try_from(value)
+        .map_err(|_| SimError::Invariant(format!("{what} {value} does not fit a u32 index")))
+}
+
 /// Builds and runs one task DAG over a cluster.
 pub struct Simulator {
     cluster: ClusterSpec,
-    tasks: Vec<TaskSpec>,
+    /// One record per task, indexed by [`TaskId`].
+    tasks: Vec<Task>,
+    /// Every task's dependency ids and path port ids, in task order.
+    links: Vec<u32>,
+    /// Attribution of traced tasks, in ascending task order.
+    traced: Vec<Traced>,
     /// Worker-pool width handed to the flow network (1 ⇒ sequential).
     workers: usize,
     /// Optional override of the network's parallel-dispatch threshold.
@@ -200,9 +235,14 @@ impl Simulator {
     /// presets or validate before use.
     pub fn new(cluster: &ClusterSpec) -> Self {
         cluster.validate().expect("invalid cluster");
+        // DAGs hold tens of tasks per rank, each with a few links; starting
+        // there skips the small doublings of both arenas.
+        let ranks = cluster.total_gpus();
         Simulator {
             cluster: cluster.clone(),
-            tasks: Vec::new(),
+            tasks: Vec::with_capacity(16 * ranks),
+            links: Vec::with_capacity(64 * ranks),
+            traced: Vec::new(),
             workers: crate::pool::workers_from_env(),
             par_threshold: None,
         }
@@ -237,34 +277,62 @@ impl Simulator {
         self.tasks.len()
     }
 
-    /// Adds a task and returns its id.
+    /// Task `i`'s dependencies and path.
+    fn links_of(&self, i: usize) -> (&[u32], &[u32]) {
+        let task = self.tasks[i];
+        let end = self
+            .tasks
+            .get(i + 1)
+            .map_or(self.links.len(), |next| next.links as usize);
+        self.links[task.links as usize..end].split_at(task.deps as usize)
+    }
+
+    /// Checks the next task's dependencies and trace rank, appends the
+    /// dependencies to the link arena, and returns where its links start.
+    fn link_deps(&mut self, deps: &[TaskId], trace: Option<&TraceInfo>) -> Result<u32, SimError> {
+        let id = self.tasks.len();
+        narrow(id, "task id")?;
+        narrow(deps.len(), "dependency count")?;
+        if let Some(&d) = deps.iter().find(|d| d.0 >= id) {
+            return Err(SimError::UnknownDependency { task: id, dep: d.0 });
+        }
+        if let Some(info) = trace {
+            narrow(info.rank, "rank")?;
+        }
+        let links = narrow(self.links.len(), "link arena size")?;
+        self.links.extend(deps.iter().map(|d| d.0 as u32));
+        Ok(links)
+    }
+
+    /// Appends the next task, whose `deps` dependencies (and path) sit in
+    /// the link arena from `links` on; [`Simulator::link_deps`] checked
+    /// every narrowing.
+    fn push(&mut self, op: Op, links: u32, deps: usize, trace: Option<TraceInfo>) -> TaskId {
+        let id = self.tasks.len();
+        if let Some(info) = trace {
+            self.traced.push(Traced {
+                task: id as u32,
+                rank: info.rank as u32,
+                category: info.category,
+                label: info.label,
+            });
+        }
+        self.tasks.push(Task {
+            op,
+            links,
+            deps: deps as u32,
+        });
+        TaskId(id)
+    }
+
+    /// Adds a compute task occupying `(rank, stream)` for `duration` once
+    /// `deps` complete, and returns its id.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownDependency`] if a dependency id is not
     /// smaller than the new task's id (forward references are how cycles
-    /// would sneak in), and [`SimError::EmptyFlowPath`] for a transfer with
-    /// no ports.
-    pub fn add_task(&mut self, spec: TaskSpec) -> Result<TaskId, SimError> {
-        let id = TaskId(self.tasks.len());
-        for &d in &spec.deps {
-            if d.0 >= id.0 {
-                return Err(SimError::UnknownDependency {
-                    task: id.0,
-                    dep: d.0,
-                });
-            }
-        }
-        if let TaskKind::Transfer { path, .. } = &spec.kind {
-            if path.is_empty() {
-                return Err(SimError::EmptyFlowPath { task: id.0 });
-            }
-        }
-        self.tasks.push(spec);
-        Ok(id)
-    }
-
-    /// Convenience: adds a compute task.
+    /// would sneak in).
     pub fn compute(
         &mut self,
         rank: Rank,
@@ -273,18 +341,25 @@ impl Simulator {
         deps: Vec<TaskId>,
         trace: Option<TraceInfo>,
     ) -> Result<TaskId, SimError> {
-        self.add_task(TaskSpec {
-            kind: TaskKind::Compute {
-                rank,
-                stream,
-                duration,
-            },
-            deps,
-            trace,
-        })
+        let rank = narrow(rank, "rank")?;
+        let links = self.link_deps(&deps, trace.as_ref())?;
+        let op = Op::Compute {
+            rank,
+            stream,
+            duration,
+        };
+        Ok(self.push(op, links, deps.len(), trace))
     }
 
-    /// Convenience: adds a transfer task.
+    /// Adds a transfer of `bytes` over the port `path` once `deps`
+    /// complete, and returns its id. A port listed twice counts once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownDependency`] as for
+    /// [`Simulator::compute`], [`SimError::EmptyFlowPath`] for a path with
+    /// no ports, and [`SimError::PhantomPort`] for a port outside the
+    /// cluster.
     pub fn transfer(
         &mut self,
         bytes: f64,
@@ -292,20 +367,31 @@ impl Simulator {
         deps: Vec<TaskId>,
         trace: Option<TraceInfo>,
     ) -> Result<TaskId, SimError> {
-        self.add_task(TaskSpec {
-            kind: TaskKind::Transfer { bytes, path },
-            deps,
-            trace,
-        })
+        let links = self.link_deps(&deps, trace.as_ref())?;
+        let task = self.tasks.len();
+        if path.is_empty() {
+            self.links.truncate(links as usize);
+            return Err(SimError::EmptyFlowPath { task });
+        }
+        for &port in &path {
+            let Some(id) = self.cluster.port_id(port) else {
+                self.links.truncate(links as usize);
+                return Err(SimError::PhantomPort { task, port });
+            };
+            self.links.push(id);
+        }
+        Ok(self.push(Op::Transfer { bytes }, links, deps.len(), trace))
     }
 
-    /// Convenience: adds a zero-cost marker joining `deps`.
+    /// Adds a zero-cost marker joining `deps`, and returns its id.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownDependency`] as for
+    /// [`Simulator::compute`].
     pub fn marker(&mut self, deps: Vec<TaskId>) -> Result<TaskId, SimError> {
-        self.add_task(TaskSpec {
-            kind: TaskKind::Marker,
-            deps,
-            trace: None,
-        })
+        let links = self.link_deps(&deps, None)?;
+        Ok(self.push(Op::Marker, links, deps.len(), None))
     }
 
     /// Runs the DAG to completion on healthy hardware.
@@ -340,6 +426,38 @@ impl Simulator {
     ///   to the rank is still pending;
     /// - [`SimError::DependencyCycle`] as for [`Simulator::run`].
     pub fn run_with_faults(&self, faults: &FaultSchedule) -> Result<SimReport, SimError> {
+        let (spans, port_bytes, stats) = self.execute(faults)?;
+        // Run state is gone by now; the trace is the last allocation.
+        let makespan = spans.iter().map(|&(_, e)| e).max().unwrap_or(SimTime::ZERO);
+        let trace = self
+            .traced
+            .iter()
+            .map(|t| {
+                let (start, end) = spans[t.task as usize];
+                TraceEvent {
+                    rank: t.rank as Rank,
+                    category: t.category,
+                    label: t.label,
+                    start,
+                    end,
+                }
+            })
+            .collect();
+        Ok(SimReport {
+            makespan,
+            spans,
+            trace,
+            port_bytes,
+            stats,
+        })
+    }
+
+    /// The event loop: per-task spans, per-port bytes, and counters.
+    #[allow(clippy::type_complexity)]
+    fn execute(
+        &self,
+        faults: &FaultSchedule,
+    ) -> Result<(Vec<(SimTime, SimTime)>, Vec<f64>, SimStats), SimError> {
         faults.validate(&self.cluster)?;
         let n = self.tasks.len();
 
@@ -354,13 +472,13 @@ impl Simulator {
         let mut rank_tasks: HashMap<Rank, Vec<usize>> = HashMap::new();
         if !crash_ranks.is_empty() {
             let mut touched: Vec<Rank> = Vec::new();
-            for (i, t) in self.tasks.iter().enumerate() {
+            for (i, task) in self.tasks.iter().enumerate() {
                 touched.clear();
-                match &t.kind {
-                    TaskKind::Compute { rank, .. } => touched.push(*rank),
-                    TaskKind::Transfer { path, .. } => {
-                        for &p in path {
-                            match p {
+                match task.op {
+                    Op::Compute { rank, .. } => touched.push(rank as Rank),
+                    Op::Transfer { .. } => {
+                        for &id in self.links_of(i).1 {
+                            match self.cluster.port_at(id) {
                                 Port::NvlinkOut(r)
                                 | Port::NvlinkIn(r)
                                 | Port::PcieOut(r)
@@ -369,7 +487,7 @@ impl Simulator {
                             }
                         }
                     }
-                    TaskKind::Marker => {}
+                    Op::Marker => {}
                 }
                 touched.sort_unstable();
                 touched.dedup();
@@ -396,36 +514,63 @@ impl Simulator {
         }
         let mut nic_factor: HashMap<usize, f64> =
             affected_nics.iter().map(|&nic| (nic, 1.0)).collect();
-        let mut indeg = vec![0usize; n];
-        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (i, t) in self.tasks.iter().enumerate() {
-            indeg[i] = t.deps.len();
-            for &d in &t.deps {
-                dependents[d.0].push(TaskId(i));
+        let nic_ports = |nic: usize| {
+            let id = |p| self.cluster.port_id(p).expect("validated NIC");
+            [id(Port::NicTx(nic)), id(Port::NicRx(nic))]
+        };
+
+        // Remaining-dependency counts, and the reverse index in CSR form:
+        // the dependents of task `d` are
+        // `dependents[dependents_start[d]..dependents_start[d + 1]]`, in
+        // ascending task order.
+        let mut indeg: Vec<u32> = self.tasks.iter().map(|t| t.deps).collect();
+        let mut dependents_start = vec![0u32; n + 1];
+        for i in 0..n {
+            for &d in self.links_of(i).0 {
+                dependents_start[d as usize + 1] += 1;
             }
         }
+        for i in 0..n {
+            dependents_start[i + 1] += dependents_start[i];
+        }
+        let mut dependents = vec![0u32; dependents_start[n] as usize];
+        for i in 0..n {
+            for &d in self.links_of(i).0 {
+                let slot = &mut dependents_start[d as usize];
+                dependents[*slot as usize] = i as u32;
+                *slot += 1;
+            }
+        }
+        // Each start now holds its successor's start; shift them back.
+        for i in (1..=n).rev() {
+            dependents_start[i] = dependents_start[i - 1];
+        }
+        dependents_start[0] = 0;
 
-        let mut net = FlowNetwork::new();
+        let port_count = self.cluster.port_count();
+        let mut net = FlowNetwork::with_ports(
+            (0..port_count as u32)
+                .map(|id| self.cluster.port_capacity(self.cluster.port_at(id)))
+                .collect(),
+        );
         net.set_workers(self.workers);
         if let Some(t) = self.par_threshold {
             net.set_parallel_threshold(t);
         }
         // Dense side table: flow arena slot → owning task id (slots are
         // recycled by the network, so entries are reset as flows finish).
-        let mut flow_task: Vec<usize> = Vec::new();
-        let mut port_bytes: HashMap<Port, f64> = HashMap::new();
-        // Reused across instants: deduplicated transfer path / drained keys.
-        let mut dedup_path: Vec<Port> = Vec::new();
-        let mut drained_keys: Vec<FlowKey> = Vec::new();
+        let mut flow_task: Vec<u32> = Vec::new();
+        let mut port_bytes = vec![0.0f64; port_count];
+        let mut drained_keys = Vec::new();
         // Streams as a dense table: per rank, slot 0 is the compute stream
         // and slot 1+i is Comm(i); dimensions come from a DAG pre-scan.
         let mut comm_streams = 0usize;
         let mut max_rank = 0usize;
-        for t in &self.tasks {
-            if let TaskKind::Compute { rank, stream, .. } = &t.kind {
-                max_rank = max_rank.max(*rank);
+        for task in &self.tasks {
+            if let Op::Compute { rank, stream, .. } = task.op {
+                max_rank = max_rank.max(rank as usize);
                 if let Stream::Comm(i) = stream {
-                    comm_streams = comm_streams.max(*i as usize + 1);
+                    comm_streams = comm_streams.max(i as usize + 1);
                 }
             }
         }
@@ -433,8 +578,8 @@ impl Simulator {
         let rank_dim = self.cluster.total_gpus().max(max_rank + 1);
         let mut streams: Vec<StreamState> = Vec::new();
         streams.resize_with(rank_dim * stream_slots, StreamState::default);
-        let sidx = |rank: Rank, stream: Stream| -> usize {
-            rank * stream_slots
+        let sidx = |rank: u32, stream: Stream| -> usize {
+            rank as usize * stream_slots
                 + match stream {
                     Stream::Compute => 0,
                     Stream::Comm(i) => 1 + i as usize,
@@ -479,16 +624,17 @@ impl Simulator {
             if f != 1.0 {
                 nic_factor.insert(nicn, f);
                 let bw = self.cluster.node.nic.bw;
-                net.set_port_capacity(Port::NicTx(nicn), bw * f);
-                net.set_port_capacity(Port::NicRx(nicn), bw * f);
+                for port in nic_ports(nicn) {
+                    net.set_capacity(port, bw * f);
+                }
             }
         }
         // Per-task generation stamp; bumped when a speed change reschedules
         // a running kernel, invalidating the previously queued completion.
-        let mut compute_gen = vec![0u64; n];
+        let mut compute_gen = vec![0u32; n];
 
         // Work list of tasks that just became ready.
-        let mut ready: VecDeque<TaskId> = (0..n).filter(|&i| indeg[i] == 0).map(TaskId).collect();
+        let mut ready: VecDeque<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
 
         macro_rules! reschedule_net {
             () => {
@@ -504,64 +650,70 @@ impl Simulator {
                 }
             };
         }
+        // Marks task `$id` finished at `now` and readies its dependents.
+        macro_rules! complete {
+            ($id:expr) => {
+                let id = $id as usize;
+                spans[id].1 = now;
+                done[id] = true;
+                done_count += 1;
+                let (a, b) = (dependents_start[id], dependents_start[id + 1]);
+                for &dep in &dependents[a as usize..b as usize] {
+                    indeg[dep as usize] -= 1;
+                    if indeg[dep as usize] == 0 {
+                        ready.push_back(dep);
+                    }
+                }
+            };
+        }
+        // Starts kernel `$id` on stream state `$st` of rank `$rank` at `now`.
+        macro_rules! start_kernel {
+            ($st:expr, $id:expr, $rank:expr) => {
+                let (id, rank) = ($id, $rank as usize);
+                let Op::Compute { duration, .. } = self.tasks[id as usize].op else {
+                    unreachable!("compute queue holds compute tasks")
+                };
+                let left_ns = duration.as_nanos() as f64;
+                let speed = kernel_speed.get(rank).copied().unwrap_or(1.0);
+                spans[id as usize].0 = now;
+                $st.running = Some(RunningKernel {
+                    task: id,
+                    left_ns,
+                    since: now,
+                });
+                push_event(
+                    &mut events,
+                    &mut event_arena,
+                    now + kernel_eta(left_ns, speed),
+                    Event::ComputeDone(id, compute_gen[id as usize]),
+                    &mut seq,
+                );
+            };
+        }
 
         loop {
             // Launch everything that is ready at the current instant.
             let mut net_dirty = false;
             while let Some(id) = ready.pop_front() {
-                let task = &self.tasks[id.0];
-                match &task.kind {
-                    TaskKind::Marker => {
-                        spans[id.0] = (now, now);
-                        done[id.0] = true;
-                        done_count += 1;
-                        for &dep in &dependents[id.0] {
-                            indeg[dep.0] -= 1;
-                            if indeg[dep.0] == 0 {
-                                ready.push_back(dep);
-                            }
-                        }
+                match self.tasks[id as usize].op {
+                    Op::Marker => {
+                        spans[id as usize].0 = now;
+                        complete!(id);
                     }
-                    TaskKind::Compute { rank, stream, .. } => {
-                        let st = &mut streams[sidx(*rank, *stream)];
+                    Op::Compute { rank, stream, .. } => {
+                        let st = &mut streams[sidx(rank, stream)];
                         st.queue.push_back(id);
                         if !st.busy {
                             st.busy = true;
                             let head = st.queue.pop_front().expect("just pushed");
-                            let TaskKind::Compute { rank, duration, .. } = self.tasks[head.0].kind
-                            else {
-                                unreachable!("compute queue holds compute tasks")
-                            };
-                            let left_ns = duration.as_nanos() as f64;
-                            let speed = kernel_speed.get(rank).copied().unwrap_or(1.0);
-                            spans[head.0].0 = now;
-                            st.running = Some(RunningKernel {
-                                task: head,
-                                left_ns,
-                                since: now,
-                            });
-                            push_event(
-                                &mut events,
-                                &mut event_arena,
-                                now + kernel_eta(left_ns, speed),
-                                Event::ComputeDone(head, compute_gen[head.0]),
-                                &mut seq,
-                            );
+                            start_kernel!(st, head, rank);
                         }
                     }
-                    TaskKind::Transfer { bytes, path } => {
-                        spans[id.0].0 = now;
-                        if *bytes <= 0.0 {
+                    Op::Transfer { bytes } => {
+                        spans[id as usize].0 = now;
+                        if bytes <= 0.0 {
                             // Nothing to move; completes instantly.
-                            spans[id.0].1 = now;
-                            done[id.0] = true;
-                            done_count += 1;
-                            for &dep in &dependents[id.0] {
-                                indeg[dep.0] -= 1;
-                                if indeg[dep.0] == 0 {
-                                    ready.push_back(dep);
-                                }
-                            }
+                            complete!(id);
                         } else {
                             if !net_dirty {
                                 // One clock advance and one rate rebalance
@@ -570,27 +722,17 @@ impl Simulator {
                                 net.begin_update();
                                 net_dirty = true;
                             }
-                            dedup_path.clear();
-                            dedup_path.extend_from_slice(path);
-                            dedup_path.sort_unstable();
-                            dedup_path.dedup();
-                            for &port in &dedup_path {
-                                *port_bytes.entry(port).or_insert(0.0) += *bytes;
+                            let key = net.start_flow_ids(bytes, self.links_of(id as usize).1);
+                            // The flow holds each port once, however often
+                            // the path lists it.
+                            for &port in net.path_of(key) {
+                                port_bytes[port] += bytes;
                             }
-                            let key = net.start_flow_deduped(*bytes, &dedup_path, |p| {
-                                let f = match p {
-                                    Port::NicTx(nicn) | Port::NicRx(nicn) => {
-                                        nic_factor.get(&nicn).copied().unwrap_or(1.0)
-                                    }
-                                    _ => 1.0,
-                                };
-                                self.cluster.port_capacity(p) * f
-                            });
                             let slot = key.slot();
                             if flow_task.len() <= slot {
-                                flow_task.resize(slot + 1, usize::MAX);
+                                flow_task.resize(slot + 1, u32::MAX);
                             }
-                            flow_task[slot] = id.0;
+                            flow_task[slot] = id;
                         }
                     }
                 }
@@ -617,46 +759,21 @@ impl Simulator {
             now = t;
             match ev {
                 Event::ComputeDone(id, gen) => {
-                    if gen != compute_gen[id.0] {
+                    if gen != compute_gen[id as usize] {
                         continue; // Stale: a fault rescheduled this kernel.
                     }
-                    spans[id.0].1 = now;
-                    done[id.0] = true;
-                    done_count += 1;
                     // Free the stream and start the next queued kernel.
-                    let TaskKind::Compute { rank, stream, .. } = self.tasks[id.0].kind else {
+                    let Op::Compute { rank, stream, .. } = self.tasks[id as usize].op else {
                         unreachable!("compute-done for non-compute task")
                     };
                     let st = &mut streams[sidx(rank, stream)];
                     st.running = None;
                     if let Some(next) = st.queue.pop_front() {
-                        let TaskKind::Compute { duration, .. } = self.tasks[next.0].kind else {
-                            unreachable!("compute queue holds compute tasks")
-                        };
-                        let left_ns = duration.as_nanos() as f64;
-                        let speed = kernel_speed.get(rank).copied().unwrap_or(1.0);
-                        spans[next.0].0 = now;
-                        st.running = Some(RunningKernel {
-                            task: next,
-                            left_ns,
-                            since: now,
-                        });
-                        push_event(
-                            &mut events,
-                            &mut event_arena,
-                            now + kernel_eta(left_ns, speed),
-                            Event::ComputeDone(next, compute_gen[next.0]),
-                            &mut seq,
-                        );
+                        start_kernel!(st, next, rank);
                     } else {
                         st.busy = false;
                     }
-                    for &dep in &dependents[id.0] {
-                        indeg[dep.0] -= 1;
-                        if indeg[dep.0] == 0 {
-                            ready.push_back(dep);
-                        }
-                    }
+                    complete!(id);
                 }
                 Event::NetCheck(generation) => {
                     if generation != net_gen {
@@ -675,18 +792,9 @@ impl Simulator {
                     net.begin_update();
                     for &key in &drained_keys {
                         net.finish_flow(key);
-                        let owner = std::mem::replace(&mut flow_task[key.slot()], usize::MAX);
-                        debug_assert_ne!(owner, usize::MAX, "flow has owner task");
-                        let id = TaskId(owner);
-                        spans[id.0].1 = now;
-                        done[id.0] = true;
-                        done_count += 1;
-                        for &dep in &dependents[id.0] {
-                            indeg[dep.0] -= 1;
-                            if indeg[dep.0] == 0 {
-                                ready.push_back(dep);
-                            }
-                        }
+                        let owner = std::mem::replace(&mut flow_task[key.slot()], u32::MAX);
+                        debug_assert_ne!(owner, u32::MAX, "flow has owner task");
+                        complete!(owner);
                     }
                     net.commit_update();
                     reschedule_net!();
@@ -717,8 +825,9 @@ impl Simulator {
                                 nic_dirty = true;
                             }
                             let bw = self.cluster.node.nic.bw;
-                            net.set_port_capacity(Port::NicTx(nicn), bw * f);
-                            net.set_port_capacity(Port::NicRx(nicn), bw * f);
+                            for port in nic_ports(nicn) {
+                                net.set_capacity(port, bw * f);
+                            }
                             nic_factor.insert(nicn, f);
                         }
                     }
@@ -744,12 +853,12 @@ impl Simulator {
                                 let elapsed = now.since(run.since).as_nanos() as f64;
                                 run.left_ns = (run.left_ns - elapsed * old).max(0.0);
                                 run.since = now;
-                                compute_gen[run.task.0] += 1;
+                                compute_gen[run.task as usize] += 1;
                                 push_event(
                                     &mut events,
                                     &mut event_arena,
                                     now + kernel_eta(run.left_ns, s),
-                                    Event::ComputeDone(run.task, compute_gen[run.task.0]),
+                                    Event::ComputeDone(run.task, compute_gen[run.task as usize]),
                                     &mut seq,
                                 );
                             }
@@ -764,30 +873,11 @@ impl Simulator {
                 stuck: n - done_count,
             });
         }
-
-        let makespan = spans.iter().map(|&(_, e)| e).max().unwrap_or(SimTime::ZERO);
-        let mut trace = Trace::new();
-        for (i, task) in self.tasks.iter().enumerate() {
-            if let Some(info) = &task.trace {
-                trace.push(TraceEvent {
-                    rank: info.rank,
-                    category: info.category,
-                    label: info.label.clone(),
-                    start: spans[i].0,
-                    end: spans[i].1,
-                });
-            }
-        }
-        Ok(SimReport {
-            makespan,
-            spans,
-            trace,
-            port_bytes,
-            stats: SimStats {
-                events: events_popped,
-                net: net.stats().clone(),
-            },
-        })
+        let stats = SimStats {
+            events: events_popped,
+            net: net.stats().clone(),
+        };
+        Ok((spans, port_bytes, stats))
     }
 }
 
@@ -982,14 +1072,50 @@ mod tests {
     #[test]
     fn forward_dependency_is_rejected() {
         let mut sim = Simulator::new(&tiny_cluster(1, 2));
-        let err = sim
-            .add_task(TaskSpec {
-                kind: TaskKind::Marker,
-                deps: vec![TaskId(5)],
-                trace: None,
-            })
-            .unwrap_err();
+        let err = sim.marker(vec![TaskId(5)]).unwrap_err();
         assert!(matches!(err, SimError::UnknownDependency { .. }));
+        // The rejected task left nothing behind.
+        assert_eq!(sim.task_count(), 0);
+        assert_eq!(sim.marker(vec![]).unwrap(), TaskId(0));
+    }
+
+    #[test]
+    fn phantom_port_is_rejected() {
+        let c = tiny_cluster(2, 1);
+        let mut sim = Simulator::new(&c);
+        let ok = sim
+            .transfer(1e9, c.direct_path(0, 1), vec![], None)
+            .unwrap();
+        let err = sim
+            .transfer(
+                1e9,
+                vec![Port::PcieOut(0), Port::NicTx(999)],
+                vec![ok],
+                None,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::PhantomPort {
+                task: 1,
+                port: Port::NicTx(999)
+            }
+        );
+        // The cluster is untouched and the DAG still runs.
+        assert_eq!(sim.task_count(), 1);
+        assert!(sim.run().unwrap().makespan > SimTime::ZERO);
+    }
+
+    #[test]
+    fn duplicate_path_ports_count_once() {
+        let c = tiny_cluster(1, 2);
+        let mut sim = Simulator::new(&c);
+        let mut path = c.direct_path(0, 1);
+        path.extend(c.direct_path(0, 1));
+        sim.transfer(200e9, path, vec![], None).unwrap();
+        let r = sim.run().unwrap();
+        assert!((r.makespan.as_secs_f64() - 1.0).abs() < 1e-6);
+        assert_eq!(r.bytes_through(&c, Port::NvlinkOut(0)), 200e9);
     }
 
     #[test]
@@ -1010,7 +1136,7 @@ mod tests {
             Some(TraceInfo {
                 rank: 0,
                 category: TraceCategory::AttentionCompute,
-                label: "attn".into(),
+                label: TraceLabel::new("attn"),
             }),
         )
         .unwrap();
@@ -1018,7 +1144,7 @@ mod tests {
             .unwrap();
         let r = sim.run().unwrap();
         assert_eq!(r.trace.events().len(), 1);
-        assert_eq!(r.trace.events()[0].label, "attn");
+        assert_eq!(r.trace.events()[0].label.to_string(), "attn");
     }
 
     #[test]
@@ -1032,10 +1158,10 @@ mod tests {
         sim.transfer(1e9, c.direct_path(1, 0), vec![], None)
             .unwrap();
         let r = sim.run().unwrap();
-        use crate::topology::Port;
-        assert!((r.port_bytes[&Port::NicTx(0)] - 5e9).abs() < 1.0);
-        assert!((r.port_bytes[&Port::NicTx(1)] - 1e9).abs() < 1.0);
-        assert!((r.port_bytes[&Port::NicRx(1)] - 5e9).abs() < 1.0);
+        assert!((r.bytes_through(&c, Port::NicTx(0)) - 5e9).abs() < 1.0);
+        assert!((r.bytes_through(&c, Port::NicTx(1)) - 1e9).abs() < 1.0);
+        assert!((r.bytes_through(&c, Port::NicRx(1)) - 5e9).abs() < 1.0);
+        assert_eq!(r.bytes_through(&c, Port::NicTx(7)), 0.0);
         // Utilization: 5 GB over the makespan at 12.5 GB/s.
         let u = r.port_utilization(&c, Port::NicTx(0));
         assert!(u > 0.9 && u <= 1.0 + 1e-9, "utilization {u}");

@@ -3,7 +3,7 @@
 use core::fmt;
 
 use crate::time::SimTime;
-use crate::topology::Rank;
+use crate::topology::{Port, Rank};
 
 /// Errors surfaced by simulator construction and execution.
 ///
@@ -31,6 +31,14 @@ pub enum SimError {
     EmptyFlowPath {
         /// The offending task id.
         task: usize,
+    },
+    /// A transfer path names a port the cluster does not have (a rank or
+    /// NIC index past the end).
+    PhantomPort {
+        /// The offending task id.
+        task: usize,
+        /// The port outside the cluster.
+        port: Port,
     },
     /// A generic invariant violation with context.
     Invariant(String),
@@ -64,6 +72,12 @@ impl fmt::Display for SimError {
             }
             SimError::EmptyFlowPath { task } => {
                 write!(f, "transfer task {task} has an empty port path")
+            }
+            SimError::PhantomPort { task, port } => {
+                write!(
+                    f,
+                    "transfer task {task} crosses {port:?}, which the cluster lacks"
+                )
             }
             SimError::Invariant(msg) => write!(f, "invariant violation: {msg}"),
             SimError::RankUnavailable { rank, at, pending } => {
@@ -99,6 +113,15 @@ mod tests {
             .to_string()
             .contains("1"));
         assert!(SimError::Invariant("y".into()).to_string().contains("y"));
+        let phantom = SimError::PhantomPort {
+            task: 4,
+            port: Port::NicTx(999),
+        }
+        .to_string();
+        assert!(
+            phantom.contains("task 4") && phantom.contains("NicTx(999)"),
+            "{phantom}"
+        );
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl FaultSchedule {
     /// event.
     pub fn validate(&self, cluster: &ClusterSpec) -> Result<(), SimError> {
         let nranks = cluster.total_gpus();
-        let nnics = cluster.nodes * cluster.node.nic_count;
+        let nnics = cluster.total_nics();
         let check_rank = |rank: Rank| {
             if rank >= nranks {
                 return Err(SimError::InvalidTopology(format!(
@@ -515,7 +515,7 @@ impl FaultSchedule {
     pub fn random(seed: u64, cluster: &ClusterSpec, horizon: SimTime) -> FaultSchedule {
         let mut rng = StdRng::seed_from_u64(seed);
         let nranks = cluster.total_gpus();
-        let nnics = cluster.nodes * cluster.node.nic_count;
+        let nnics = cluster.total_nics();
         let h = horizon.as_nanos().max(2);
         let mut out = FaultSchedule::new();
         let count = rng.random_range(1usize..=6);

@@ -55,7 +55,7 @@ pub mod trace;
 
 pub use arena::{Slab, SlabKey};
 pub use collectives::{all_to_all, ring_allgather, ring_allreduce};
-pub use engine::{SimReport, SimStats, Simulator, Stream, TaskId, TaskKind, TaskSpec, TraceInfo};
+pub use engine::{SimReport, SimStats, Simulator, Stream, TaskId, TraceInfo};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultSchedule, FLAP_RESIDUAL};
 pub use network::{FlowNetwork, NetStats};
@@ -66,4 +66,4 @@ pub use topology::{
     cluster_a, cluster_b, cluster_c, tiny_cluster, ClusterSpec, GpuSpec, NicSpec, NodeSpec, Port,
     Rank,
 };
-pub use trace::{Trace, TraceCategory, TraceEvent};
+pub use trace::{Trace, TraceCategory, TraceEvent, TraceLabel};

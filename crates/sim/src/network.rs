@@ -35,6 +35,15 @@
 //! Completion queries are served from a lazily invalidated min-heap of
 //! projected completion instants instead of a full scan; see
 //! [`FlowNetwork::next_completion`].
+//!
+//! # Port ids
+//!
+//! Every per-port table is indexed by a dense port id. The engine builds
+//! its network with [`FlowNetwork::with_ports`] from
+//! [`crate::topology::ClusterSpec::port_id`] and starts flows on id paths
+//! ([`FlowNetwork::start_flow_ids`]), so a transfer touches no map.
+//! The [`Port`]-keyed methods intern ports on first use, for callers
+//! without a cluster (tests, the reference cross-checks, benches).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -93,6 +102,9 @@ pub struct FlowSlot {
     drained_listed: bool,
     /// Whether the slot currently holds a flow.
     live: bool,
+    /// Index of the slot in the network's live list (meaningful while
+    /// `live`).
+    live_pos: usize,
 }
 
 impl FlowSlot {
@@ -130,6 +142,7 @@ pub struct NetStats {
 #[derive(Debug)]
 pub struct FlowNetwork {
     port_caps: Vec<f64>,
+    /// Ids of ports interned through the [`Port`]-keyed methods.
     port_index: HashMap<Port, usize>,
     /// Reverse index: flows currently crossing each port.
     port_flows: Vec<Vec<usize>>,
@@ -137,6 +150,9 @@ pub struct FlowNetwork {
     port_rate_sum: Vec<f64>,
     /// Flow arena; slots are recycled LIFO via `free_keys`.
     flows: Vec<FlowSlot>,
+    /// Slots of the live flows, in no particular order; `advance_to`
+    /// drains these instead of scanning the arena.
+    live: Vec<usize>,
     /// Per-slot generation; bumped whenever the slot's heap keys go stale.
     slot_gen: Vec<u64>,
     free_keys: Vec<usize>,
@@ -190,6 +206,7 @@ impl FlowNetwork {
             port_flows: Vec::new(),
             port_rate_sum: Vec::new(),
             flows: Vec::new(),
+            live: Vec::new(),
             slot_gen: Vec::new(),
             free_keys: Vec::new(),
             clock: SimTime::ZERO,
@@ -207,6 +224,27 @@ impl FlowNetwork {
             workers: crate::pool::workers_from_env(),
             par_threshold: DEFAULT_PAR_THRESHOLD,
             stats: NetStats::default(),
+        }
+    }
+
+    /// Creates a network whose ports are pre-registered with dense ids
+    /// `0..capacities.len()`, port `i` at `capacities[i]` bytes/s. Flows
+    /// on these ports start through [`FlowNetwork::start_flow_ids`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every capacity is finite and positive.
+    pub fn with_ports(capacities: Vec<f64>) -> Self {
+        assert!(
+            capacities.iter().all(|c| c.is_finite() && *c > 0.0),
+            "port capacities must be finite and positive"
+        );
+        let n = capacities.len();
+        FlowNetwork {
+            port_caps: capacities,
+            port_flows: vec![Vec::new(); n],
+            port_rate_sum: vec![0.0; n],
+            ..FlowNetwork::new()
         }
     }
 
@@ -312,6 +350,21 @@ impl FlowNetwork {
             "port {port:?} capacity must be finite and positive, got {capacity}"
         );
         let i = self.intern(port, capacity);
+        self.set_capacity(i as u32, capacity);
+    }
+
+    /// [`FlowNetwork::set_port_capacity`] for a port given by its dense id.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `capacity` is finite and positive, or if `port` is
+    /// not a registered id.
+    pub fn set_capacity(&mut self, port: u32, capacity: f64) {
+        assert!(
+            capacity.is_finite() && capacity > 0.0,
+            "port {port} capacity must be finite and positive, got {capacity}"
+        );
+        let i = port as usize;
         self.port_caps[i] = capacity;
         self.dirty_ports.push(i);
         self.after_mutation();
@@ -346,50 +399,42 @@ impl FlowNetwork {
             assert!(cap > 0.0, "port {p:?} must have positive capacity");
             interned.push(self.intern(p, cap));
         }
-        interned.sort_unstable();
-        interned.dedup();
         self.insert_flow(bytes, interned)
     }
 
-    /// Like [`FlowNetwork::start_flow`] for a path already free of duplicate
-    /// ports, skipping the dedup pass. The engine dedups each transfer path
-    /// once for byte accounting and hands the result straight here.
+    /// Starts a flow of `bytes` over the dense port ids in `ports`, which
+    /// must be registered (see [`FlowNetwork::with_ports`]). This is the
+    /// engine's per-transfer path: no interning. As with
+    /// [`FlowNetwork::start_flow`], a repeated port counts once;
+    /// [`FlowNetwork::path_of`] returns the ports the flow holds.
     ///
     /// # Panics
     ///
-    /// Panics like [`FlowNetwork::start_flow`]; additionally, duplicate ports
-    /// in `path` are a caller bug (checked in debug builds).
-    pub fn start_flow_deduped(
-        &mut self,
-        bytes: f64,
-        path: &[Port],
-        mut capacity_of: impl FnMut(Port) -> f64,
-    ) -> FlowKey {
-        assert!(!path.is_empty(), "flow path must be non-empty");
+    /// Panics like [`FlowNetwork::start_flow`], or if an id is not
+    /// registered.
+    pub fn start_flow_ids(&mut self, bytes: f64, ports: &[u32]) -> FlowKey {
+        assert!(!ports.is_empty(), "flow path must be non-empty");
         assert!(
             bytes.is_finite() && bytes >= 0.0,
             "flow size must be finite and non-negative, got {bytes}"
         );
-        let mut interned = std::mem::take(&mut self.tmp_path);
-        interned.clear();
-        for &p in path {
-            let cap = capacity_of(p);
-            assert!(cap > 0.0, "port {p:?} must have positive capacity");
-            interned.push(self.intern(p, cap));
+        let mut path = std::mem::take(&mut self.tmp_path);
+        path.clear();
+        for &p in ports {
+            assert!(
+                (p as usize) < self.port_caps.len(),
+                "port id {p} is not registered"
+            );
+            path.push(p as usize);
         }
-        interned.sort_unstable();
-        debug_assert!(
-            interned.windows(2).all(|w| w[0] != w[1]),
-            "start_flow_deduped requires a duplicate-free path"
-        );
-        self.insert_flow(bytes, interned)
+        self.insert_flow(bytes, path)
     }
 
-    /// Installs an interned path into a (possibly recycled) arena slot. The
-    /// slot's previous path buffer is swapped back into `tmp_path`, so the
-    /// steady state of churn — start, drain, finish, start — allocates
-    /// nothing: path buffers rotate between the arena and the scratch slot.
-    fn insert_flow(&mut self, bytes: f64, mut interned: Vec<usize>) -> FlowKey {
+    /// Installs an interned path into a (possibly recycled) arena slot,
+    /// dropping repeated ports. The slot reuses its previous path buffer and
+    /// `interned` goes back to `tmp_path`, so the steady state of churn —
+    /// start, drain, finish, start — allocates nothing.
+    fn insert_flow(&mut self, bytes: f64, interned: Vec<usize>) -> FlowKey {
         let drained = bytes <= EPS_BYTES;
         let key = match self.free_keys.pop() {
             Some(k) => k,
@@ -399,20 +444,27 @@ impl FlowNetwork {
                 self.flows.len() - 1
             }
         };
-        let slot = &mut self.flows[key];
-        debug_assert!(!slot.live, "recycled slot still live");
-        std::mem::swap(&mut slot.path, &mut interned);
+        debug_assert!(!self.flows[key].live, "recycled slot still live");
+        let mut path = std::mem::take(&mut self.flows[key].path);
+        path.clear();
+        for &p in &interned {
+            // A repeated port already lists this flow last.
+            if self.port_flows[p].last() != Some(&key) {
+                self.port_flows[p].push(key);
+                self.dirty_ports.push(p);
+                path.push(p);
+            }
+        }
         self.tmp_path = interned;
+        let slot = &mut self.flows[key];
+        slot.path = path;
         slot.remaining = bytes;
         slot.rate = 0.0;
         slot.drained_listed = drained;
         slot.live = true;
+        slot.live_pos = self.live.len();
+        self.live.push(key);
         self.slot_gen[key] += 1;
-        for i in 0..self.flows[key].path.len() {
-            let p = self.flows[key].path[i];
-            self.port_flows[p].push(key);
-            self.dirty_ports.push(p);
-        }
         if drained {
             self.drained_ready.push(key);
         }
@@ -434,13 +486,12 @@ impl FlowNetwork {
             // Projections made before this instant are no longer exact:
             // demote them to the slack-checked heap.
             self.heap_stale.append(&mut self.heap_fresh);
-            for (k, f) in self.flows.iter_mut().enumerate() {
-                if f.live {
-                    f.remaining = (f.remaining - f.rate * dt).max(0.0);
-                    if !f.drained_listed && f.remaining <= EPS_BYTES {
-                        f.drained_listed = true;
-                        self.drained_ready.push(k);
-                    }
+            for &k in &self.live {
+                let f = &mut self.flows[k];
+                f.remaining = (f.remaining - f.rate * dt).max(0.0);
+                if !f.drained_listed && f.remaining <= EPS_BYTES {
+                    f.drained_listed = true;
+                    self.drained_ready.push(k);
                 }
             }
         }
@@ -501,6 +552,11 @@ impl FlowNetwork {
         }
         slot.live = false;
         slot.rate = 0.0;
+        let pos = slot.live_pos;
+        self.live.swap_remove(pos);
+        if let Some(&moved) = self.live.get(pos) {
+            self.flows[moved].live_pos = pos;
+        }
         self.slot_gen[key.0] += 1; // Invalidate any heap entries for the slot.
         self.free_keys.push(key.0);
         self.active -= 1;
@@ -572,6 +628,13 @@ impl FlowNetwork {
         }
     }
 
+    /// The ports a live flow holds, each once, as interned or dense ids.
+    pub fn path_of(&self, key: FlowKey) -> &[usize] {
+        let f = &self.flows[key.0];
+        assert!(f.live, "stale flow key");
+        &f.path
+    }
+
     /// Current rate of a flow in bytes/s (for tests and introspection).
     pub fn rate_of(&self, key: FlowKey) -> f64 {
         let f = &self.flows[key.0];
@@ -600,7 +663,10 @@ impl FlowNetwork {
     /// Recomputes the max-min fair allocation for every connected component
     /// reachable from the ports dirtied since the last rebalance.
     ///
-    /// The [`Partitioner`] splits the dirty region into true components;
+    /// A dirty port that no flow crosses any more has nothing to fill: its
+    /// rate sum drops straight to zero and it seeds no component. The
+    /// [`Partitioner`] splits the rest of the dirty region into true
+    /// components;
     /// each is filled independently by [`fill_component`] — sequentially,
     /// or on the scoped worker pool when the commit is wide enough
     /// (`workers > 1`, ≥ 2 components, and at least `par_threshold` flows
@@ -614,11 +680,19 @@ impl FlowNetwork {
         if self.dirty_ports.is_empty() {
             return;
         }
+        self.stats.rebalances += 1;
+        let (port_flows, port_rate_sum) = (&self.port_flows, &mut self.port_rate_sum);
+        self.dirty_ports.retain(|&p| {
+            let crossed = !port_flows[p].is_empty();
+            if !crossed {
+                port_rate_sum[p] = 0.0;
+            }
+            crossed
+        });
         self.partitioner
             .partition(&self.dirty_ports, &self.port_flows, &self.flows);
         self.dirty_ports.clear();
         let ncomps = self.partitioner.components();
-        self.stats.rebalances += 1;
         self.stats.components += ncomps as u64;
         self.stats.filled_flows += self.partitioner.flow_count() as u64;
         let use_pool =
@@ -834,6 +908,11 @@ mod tests {
         let k = net.start_flow(1.0, &[Port::NicTx(0), Port::NicTx(0)], |_| 10.0);
         // Counted once: full 10, not 5.
         assert!((net.rate_of(k) - 10.0).abs() < 1e-9);
+        assert_eq!(net.path_of(k).len(), 1);
+        let mut dense = FlowNetwork::with_ports(vec![10.0, 20.0]);
+        let k = dense.start_flow_ids(1.0, &[1, 0, 1, 1]);
+        assert_eq!(dense.path_of(k), &[1, 0]);
+        assert!((dense.rate_of(k) - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -910,17 +989,67 @@ mod tests {
     }
 
     #[test]
-    fn deduped_start_matches_plain_start() {
+    fn id_paths_match_port_paths_bitwise() {
         let c = cluster_a(2);
-        let mut plain = FlowNetwork::new();
-        let mut deduped = FlowNetwork::new();
-        let mut path = c.direct_path(0, 8);
-        let ka = plain.start_flow(3e9, &path, cap_fn(&c));
-        path.sort_unstable();
-        path.dedup();
-        let kb = deduped.start_flow_deduped(3e9, &path, cap_fn(&c));
-        assert_eq!(plain.rate_of(ka).to_bits(), deduped.rate_of(kb).to_bits());
-        assert_eq!(plain.next_completion(), deduped.next_completion());
+        let mut by_port = FlowNetwork::new();
+        let caps = (0..c.port_count() as u32)
+            .map(|id| c.port_capacity(c.port_at(id)))
+            .collect();
+        let mut by_id = FlowNetwork::with_ports(caps);
+        let mut keys = Vec::new();
+        for (src, dst, bytes) in [(0, 8, 3e9), (1, 9, 2e9), (2, 3, 5e9), (8, 0, 1e9)] {
+            let path = c.direct_path(src, dst);
+            let ids: Vec<u32> = path.iter().map(|&p| c.port_id(p).unwrap()).collect();
+            keys.push((
+                by_port.start_flow(bytes, &path, cap_fn(&c)),
+                by_id.start_flow_ids(bytes, &ids),
+            ));
+        }
+        for &(a, b) in &keys {
+            assert_eq!(by_port.rate_of(a).to_bits(), by_id.rate_of(b).to_bits());
+        }
+        assert_eq!(by_port.next_completion(), by_id.next_completion());
+    }
+
+    #[test]
+    fn flowless_ports_drop_to_zero_without_a_component() {
+        let c = cluster_a(2);
+        let mut net = FlowNetwork::new();
+        let k = net.start_flow(1e9, &c.direct_path(0, 8), cap_fn(&c));
+        assert!(net.port_usage(Port::NicTx(0)) > 0.0);
+        let before = net.stats().components;
+        let t = net.next_completion().unwrap();
+        net.advance_to(t);
+        net.finish_flow(k);
+        // The four ports the flow crossed are dirty and now flow-less.
+        assert_eq!(net.port_usage(Port::NicTx(0)), 0.0);
+        assert_eq!(net.stats().components, before);
+        assert_eq!(net.active_flows(), 0);
+    }
+
+    #[test]
+    fn advance_drains_only_live_flows_after_recycling() {
+        let c = cluster_a(2);
+        let mut net = FlowNetwork::new();
+        let keys: Vec<FlowKey> = [1e6, 1e9, 2e9, 3e9]
+            .iter()
+            .enumerate()
+            .map(|(i, &bytes)| net.start_flow(bytes, &c.direct_path(i, 8 + i), cap_fn(&c)))
+            .collect();
+        let t = net.next_completion().unwrap();
+        net.advance_to(t);
+        assert_eq!(net.drained(), vec![keys[0]]);
+        // Removing the first live entry moves the last one into its place;
+        // every survivor must keep draining.
+        net.finish_flow(keys[0]);
+        let left: Vec<f64> = keys[1..].iter().map(|&k| net.remaining_of(k)).collect();
+        net.advance_to(t + SimDuration::from_millis(10));
+        for (&k, before) in keys[1..].iter().zip(left) {
+            assert!(net.remaining_of(k) < before);
+        }
+        let reused = net.start_flow(1e6, &c.direct_path(0, 8), cap_fn(&c));
+        assert_eq!(reused, keys[0]);
+        assert_eq!(net.active_flows(), 4);
     }
 
     #[test]

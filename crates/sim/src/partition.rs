@@ -100,10 +100,9 @@ impl Partitioner {
     ///
     /// Each seed port not already absorbed by an earlier component starts a
     /// new flood over the port→flow→port adjacency. A seed port with no
-    /// live flows still forms a (flow-less) component: its maintained rate
-    /// sum must be refreshed to zero by the fill that follows, exactly as
-    /// the pre-partitioned allocator did. Duplicate seeds are skipped via
-    /// the epoch marks.
+    /// live flows would form a flow-less component; the network zeroes
+    /// such ports' rate sums itself and passes only crossed ports as seeds.
+    /// Duplicate seeds are skipped via the epoch marks.
     pub fn partition(&mut self, seeds: &[usize], port_flows: &[Vec<usize>], flows: &[FlowSlot]) {
         self.port_mark.resize(port_flows.len(), 0);
         self.flow_mark.resize(flows.len(), 0);

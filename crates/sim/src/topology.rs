@@ -235,6 +235,62 @@ impl ClusterSpec {
         }
     }
 
+    /// Total NICs across the cluster (global NIC indices are `0..total_nics`).
+    pub fn total_nics(&self) -> usize {
+        self.nodes * self.node.nic_count
+    }
+
+    /// Number of ports in the fabric: four per GPU and two per NIC. Dense
+    /// port ids ([`ClusterSpec::port_id`]) are `0..port_count`.
+    pub fn port_count(&self) -> usize {
+        4 * self.total_gpus() + 2 * self.total_nics()
+    }
+
+    /// Dense id of `port`, or `None` for a port outside this cluster (a
+    /// rank or NIC index past the end).
+    ///
+    /// With `G` GPUs and `N` NICs the ids run NVLink egress `0..G`, NVLink
+    /// ingress `G..2G`, PCIe egress and ingress up to `4G`, then NIC
+    /// transmit and receive up to `4G + 2N`. The flow network and the
+    /// engine's byte accounting index per-port tables with these ids.
+    pub fn port_id(&self, port: Port) -> Option<u32> {
+        let (g, n) = (self.total_gpus(), self.total_nics());
+        let (block, index) = match port {
+            Port::NvlinkOut(r) => (0, r),
+            Port::NvlinkIn(r) => (1, r),
+            Port::PcieOut(r) => (2, r),
+            Port::PcieIn(r) => (3, r),
+            Port::NicTx(i) => (4, i),
+            Port::NicRx(i) => (5, i),
+        };
+        // Four blocks of `g` GPU ports, then two blocks of `n` NIC ports.
+        let (base, bound) = if block < 4 {
+            (block * g, g)
+        } else {
+            (4 * g + (block - 4) * n, n)
+        };
+        (index < bound).then(|| (base + index) as u32)
+    }
+
+    /// The port with dense id `id` (inverse of [`ClusterSpec::port_id`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= port_count()`.
+    pub fn port_at(&self, id: u32) -> Port {
+        let (g, n) = (self.total_gpus(), self.total_nics());
+        let i = id as usize;
+        assert!(i < self.port_count(), "port id {id} outside the cluster");
+        match i {
+            _ if i < g => Port::NvlinkOut(i),
+            _ if i < 2 * g => Port::NvlinkIn(i - g),
+            _ if i < 3 * g => Port::PcieOut(i - 2 * g),
+            _ if i < 4 * g => Port::PcieIn(i - 3 * g),
+            _ if i < 4 * g + n => Port::NicTx(i - 4 * g),
+            _ => Port::NicRx(i - 4 * g - n),
+        }
+    }
+
     /// Port path for a direct GPU-to-GPU transfer.
     ///
     /// Intra-node transfers traverse the sender's fabric egress and the
@@ -465,6 +521,21 @@ mod tests {
                 Port::PcieIn(9),
             ]
         );
+    }
+
+    #[test]
+    fn port_ids_are_dense_and_round_trip() {
+        let c = cluster_a(2);
+        assert_eq!(c.port_count(), 4 * 16 + 2 * 8);
+        for id in 0..c.port_count() as u32 {
+            assert_eq!(c.port_id(c.port_at(id)), Some(id));
+        }
+        assert_eq!(c.port_id(Port::NvlinkOut(0)), Some(0));
+        assert_eq!(c.port_id(Port::NicRx(7)), Some(79));
+        // Ports past the cluster's ranks or NICs have no id.
+        assert_eq!(c.port_id(Port::PcieIn(16)), None);
+        assert_eq!(c.port_id(Port::NicTx(8)), None);
+        assert_eq!(c.port_id(Port::NicTx(999)), None);
     }
 
     #[test]

@@ -47,15 +47,152 @@ impl TraceCategory {
     }
 }
 
+/// The words a [`TraceLabel`] can add to its name: round tags, name
+/// suffixes, and trailing words. Keeping them in one table lets a label
+/// store each as a one-byte index, so a label is 32 bytes and `Copy`.
+const WORDS: [&str; 9] = ["", "r", "dr", "t", "-ag", "-ar", "-a2a", "fwd", "bwd"];
+
+/// Marks an absent round or edge.
+const NONE: u32 = u32::MAX;
+
+/// Index of `word` in [`WORDS`].
+///
+/// # Panics
+///
+/// Panics if `word` is not in the table (a new label word needs an entry).
+fn word(word: &str) -> u8 {
+    match WORDS.iter().position(|w| *w == word) {
+        Some(i) => i as u8,
+        None => panic!("trace label word {word:?} is not one of {WORDS:?}"),
+    }
+}
+
+/// Narrows a round or rank to a label field.
+fn field(value: usize) -> u32 {
+    match u32::try_from(value) {
+        Ok(v) if v != NONE => v,
+        _ => panic!("trace label number {value} does not fit a u32"),
+    }
+}
+
+/// Human-readable label of a traced task, built from static parts so that
+/// tracing a task allocates nothing.
+///
+/// Renders as `{name}{suffix}[ {tag}{round}][ {tail}][ {src}->{dst}]`, for
+/// example `attn r3 fwd`, `kv r0 7->8`, or `grads-ag r2 0->1`. The suffix,
+/// round tag, and tail are drawn from a small fixed vocabulary: `-ag`,
+/// `-ar`, `-a2a`; `r`, `dr`, `t`; `fwd`, `bwd` (or empty).
+///
+/// ```
+/// use zeppelin_sim::trace::TraceLabel;
+///
+/// let label = TraceLabel::new("kv").with_round("r", 3).with_edge(7, 8);
+/// assert_eq!(label.to_string(), "kv r3 7->8");
+/// assert_eq!(label.edge(), Some((7, 8)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceLabel {
+    name: &'static str,
+    round: u32,
+    src: u32,
+    dst: u32,
+    suffix: u8,
+    tag: u8,
+    tail: u8,
+}
+
+impl TraceLabel {
+    /// A label that is just `name`.
+    pub const fn new(name: &'static str) -> TraceLabel {
+        TraceLabel {
+            name,
+            round: NONE,
+            src: NONE,
+            dst: NONE,
+            suffix: 0,
+            tag: 0,
+            tail: 0,
+        }
+    }
+
+    /// Appends `suffix` (`-ag`, `-ar`, or `-a2a`) to the name with no
+    /// separator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `suffix` is outside the label vocabulary.
+    pub fn with_suffix(mut self, suffix: &str) -> TraceLabel {
+        self.suffix = word(suffix);
+        self
+    }
+
+    /// Adds a round counter such as `r3` (`tag` = `"r"`, `round` = 3); the
+    /// tag is `r`, `dr`, `t`, or empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` is outside the label vocabulary or `round` does not
+    /// fit a `u32`.
+    pub fn with_round(mut self, tag: &str, round: usize) -> TraceLabel {
+        self.tag = word(tag);
+        self.round = field(round);
+        self
+    }
+
+    /// Adds a trailing word after the round: the pass direction, `fwd` or
+    /// `bwd`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tail` is outside the label vocabulary.
+    pub fn with_tail(mut self, tail: &str) -> TraceLabel {
+        self.tail = word(tail);
+        self
+    }
+
+    /// Adds the `src->dst` endpoints of a transfer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rank does not fit a `u32`.
+    pub fn with_edge(mut self, src: Rank, dst: Rank) -> TraceLabel {
+        self.src = field(src);
+        self.dst = field(dst);
+        self
+    }
+
+    /// The `(src, dst)` endpoints of a transfer label.
+    pub fn edge(&self) -> Option<(Rank, Rank)> {
+        (self.src != NONE).then_some((self.src as Rank, self.dst as Rank))
+    }
+}
+
+impl std::fmt::Display for TraceLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name)?;
+        f.write_str(WORDS[self.suffix as usize])?;
+        if self.round != NONE {
+            write!(f, " {}{}", WORDS[self.tag as usize], self.round)?;
+        }
+        if self.tail != 0 {
+            write!(f, " {}", WORDS[self.tail as usize])?;
+        }
+        if let Some((src, dst)) = self.edge() {
+            write!(f, " {src}->{dst}")?;
+        }
+        Ok(())
+    }
+}
+
 /// One rectangle on the timeline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Rank the event is attributed to.
     pub rank: Rank,
     /// Category (lane).
     pub category: TraceCategory,
     /// Human-readable label.
-    pub label: String,
+    pub label: TraceLabel,
     /// Start instant.
     pub start: SimTime,
     /// End instant.
@@ -73,6 +210,14 @@ impl TraceEvent {
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
+}
+
+impl FromIterator<TraceEvent> for Trace {
+    fn from_iter<I: IntoIterator<Item = TraceEvent>>(events: I) -> Trace {
+        Trace {
+            events: events.into_iter().collect(),
+        }
+    }
 }
 
 impl Trace {
@@ -171,14 +316,17 @@ impl Trace {
     /// threads (`tid`), `pid` is fixed at 1, categories become `cat`.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[");
+        let mut label = String::new();
         for (i, ev) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            label.clear();
+            let _ = write!(label, "{}", ev.label);
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{}}}",
-                escape_json(&ev.label),
+                escape_json(&label),
                 ev.category.name(),
                 ev.start.as_micros_f64(),
                 ev.duration().as_micros_f64(),
@@ -262,7 +410,7 @@ mod tests {
         TraceEvent {
             rank,
             category: cat,
-            label: format!("{}@{}", cat.name(), rank),
+            label: TraceLabel::new(cat.name()).with_round("r", rank),
             start: SimTime::from_nanos(s),
             end: SimTime::from_nanos(e),
         }
@@ -364,6 +512,59 @@ mod tests {
     #[test]
     fn ascii_timeline_empty_trace_is_empty() {
         assert!(Trace::new().to_ascii(40).is_empty());
+    }
+
+    #[test]
+    fn labels_render_every_lowered_shape() {
+        let cases = [
+            (
+                TraceLabel::new("attn-local").with_tail("fwd"),
+                "attn-local fwd",
+            ),
+            (
+                TraceLabel::new("attn")
+                    .with_round("dr", 12)
+                    .with_tail("bwd"),
+                "attn dr12 bwd",
+            ),
+            (
+                TraceLabel::new("dr-kv").with_round("t", 0).with_edge(3, 11),
+                "dr-kv t0 3->11",
+            ),
+            (TraceLabel::new("a2a-qkv").with_edge(0, 9), "a2a-qkv 0->9"),
+            (
+                TraceLabel::new("grads")
+                    .with_suffix("-ar")
+                    .with_round("r", 5)
+                    .with_edge(2, 3),
+                "grads-ar r5 2->3",
+            ),
+            (
+                TraceLabel::new("").with_suffix("-a2a").with_edge(1, 0),
+                "-a2a 1->0",
+            ),
+        ];
+        for (label, want) in cases {
+            assert_eq!(label.to_string(), want);
+        }
+        assert_eq!(TraceLabel::new("linear").edge(), None);
+        assert_eq!(TraceLabel::new("x").with_edge(4, 5).edge(), Some((4, 5)));
+        assert_eq!(std::mem::size_of::<TraceLabel>(), 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "not one of")]
+    fn words_outside_the_vocabulary_panic() {
+        let _ = TraceLabel::new("x").with_tail("sideways");
+    }
+
+    #[test]
+    fn chrome_json_escapes_rendered_labels() {
+        let mut t = Trace::new();
+        let mut e = ev(0, TraceCategory::Other, 0, 1);
+        e.label = TraceLabel::new("say \"hi\"").with_edge(0, 1);
+        t.push(e);
+        assert!(t.to_chrome_json().contains(r#""name":"say \"hi\" 0->1""#));
     }
 
     #[test]

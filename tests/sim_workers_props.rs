@@ -18,8 +18,8 @@ use zeppelin::sim::engine::{SimReport, Simulator, Stream, TraceInfo};
 use zeppelin::sim::error::SimError;
 use zeppelin::sim::fault::FaultSchedule;
 use zeppelin::sim::time::{SimDuration, SimTime};
-use zeppelin::sim::topology::{cluster_a, ClusterSpec, Port};
-use zeppelin::sim::trace::{TraceCategory, TraceEvent};
+use zeppelin::sim::topology::{cluster_a, ClusterSpec};
+use zeppelin::sim::trace::{TraceCategory, TraceEvent, TraceLabel};
 
 const RANKS: usize = 32; // cluster_a(4): four 8-GPU nodes, GPU pairs share NICs.
 
@@ -78,7 +78,7 @@ fn build(cluster: &ClusterSpec, spec: &Spec) -> Simulator {
                     Some(TraceInfo {
                         rank: *rank,
                         category: TraceCategory::LinearCompute,
-                        label: format!("c{i}"),
+                        label: TraceLabel::new("c").with_round("", i),
                     }),
                 )
                 .unwrap(),
@@ -90,7 +90,7 @@ fn build(cluster: &ClusterSpec, spec: &Spec) -> Simulator {
                     Some(TraceInfo {
                         rank: *src,
                         category: TraceCategory::InterNode,
-                        label: format!("x{i}"),
+                        label: TraceLabel::new("x").with_round("", i),
                     }),
                 )
                 .unwrap(),
@@ -105,17 +105,12 @@ type Fingerprint = (
     SimTime,
     Vec<(SimTime, SimTime)>,
     Vec<TraceEvent>,
-    Vec<(Port, u64)>,
+    Vec<u64>,
     u64,
 );
 
 fn fingerprint(r: &SimReport) -> Fingerprint {
-    let mut ports: Vec<(Port, u64)> = r
-        .port_bytes
-        .iter()
-        .map(|(&p, &b)| (p, b.to_bits()))
-        .collect();
-    ports.sort_unstable();
+    let ports: Vec<u64> = r.port_bytes.iter().map(|b| b.to_bits()).collect();
     (
         r.makespan,
         r.spans.clone(),
