@@ -12,10 +12,10 @@
 //! 3. **after (direct)** — the same threads through the N-way
 //!    [`ShardedPlanCache`]: isolates what digest sharding buys with zero
 //!    transport noise.
-//! 4. **server** — end-to-end over loopback TCP against the readiness
-//!    event loop: permuted hot-window shapes plus a cold tail, a
-//!    single-flight barrage proving coalescing, client-measured latency
-//!    percentiles, and the server's own planner-run accounting.
+//! 4. **server** — end-to-end over loopback TCP against the
+//!    thread-per-connection front-end: permuted hot-window shapes plus a
+//!    cold tail, a single-flight barrage proving coalescing, client-measured
+//!    latency percentiles, and the server's own planner-run accounting.
 //!
 //! The workload mixes hot and cold keys deterministically: consecutive
 //! `WINDOW`-sized index ranges share one hot shape (so every window
@@ -313,7 +313,7 @@ fn main() {
         after_direct.p999_us
     );
 
-    // 4. End-to-end: the event-loop server over loopback TCP.
+    // 4. End-to-end: the server over loopback TCP.
     //
     // The barrage leader gets one injected 100ms planner stall (the seeded
     // chaos hook, consumed by exactly the first planner run, which happens
@@ -391,7 +391,7 @@ fn main() {
     let m = &report.metrics;
 
     println!(
-        "server (event loop, TCP):    {:>8.0} reqs/s   (p50 {}us p99 {}us p999 {}us)",
+        "server (TCP):                {:>8.0} reqs/s   (p50 {}us p99 {}us p999 {}us)",
         served.per_sec(),
         served.p50_us,
         served.p99_us,

@@ -10,8 +10,6 @@
 //!   lookups, plus the N-way sharded variant the server runs on;
 //! - [`singleflight`]: coalescing of identical in-flight plan keys — one
 //!   planner run fans its plan out to every concurrent waiter;
-//! - [`event`]: the std-only readiness poller driving the server's
-//!   single-threaded connection event loop;
 //! - [`pipeline`]: the pipelined planner — step N+1 plans on a worker
 //!   thread while step N simulates, with hidden-vs-exposed accounting;
 //! - [`protocol`]: line-delimited JSON requests/responses (`plan`,
@@ -19,9 +17,10 @@
 //!   codes, built on `zeppelin_core::plan_io`'s JSON;
 //! - [`frame`]: bounded, resynchronizing line framing that survives
 //!   oversized lines, dribbled bytes, and read timeouts;
-//! - [`server`]: the TCP front-end — a readiness event loop feeding a
-//!   bounded worker pool, with queue-depth backpressure, per-request panic
-//!   containment, deadline propagation, and graceful bounded-grace drain;
+//! - [`server`]: the TCP front-end — one blocking thread per connection
+//!   feeding a bounded worker pool, with queue-depth backpressure,
+//!   per-request panic containment, deadline propagation, and graceful
+//!   bounded-grace drain;
 //! - [`admission`]: the load-shedding gate over in-flight planner time
 //!   and the circuit breaker that short-circuit misses to degraded mode;
 //! - [`chaos`]: the seeded fault harness — deterministic adversarial
@@ -68,7 +67,6 @@ pub mod cache;
 pub mod canonical;
 pub mod chaos;
 pub mod client;
-pub mod event;
 pub mod frame;
 pub mod metrics;
 pub mod pipeline;
@@ -84,7 +82,6 @@ pub use cache::{
 pub use canonical::{is_index_faithful, reindex_plan, CanonicalBatch, CtxSignature};
 pub use chaos::{run_chaos, ChaosReport, PlannerChaos, ServeFault, ServeFaultSchedule};
 pub use client::{send_request, send_request_with, ClientConfig};
-pub use event::Poller;
 pub use frame::{Frame, FrameError, FrameReader, MAX_FRAME_BYTES};
 pub use metrics::{MetricsShard, MetricsSnapshot, ServiceMetrics};
 pub use pipeline::{run_training_pipelined, PipelineConfig, PipelineReport};

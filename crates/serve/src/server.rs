@@ -1,17 +1,17 @@
-//! The TCP front-end: a single-threaded readiness event loop feeding a
-//! bounded planner-worker pool, serving line-delimited JSON plan requests
-//! out of the sharded canonicalizing cache with single-flight coalescing —
-//! and the fault discipline of a service that sits on a training hot path.
+//! The TCP front-end: one blocking thread per connection feeding a bounded
+//! planner-worker pool, serving line-delimited JSON plan requests out of
+//! the sharded canonicalizing cache with single-flight coalescing — and the
+//! fault discipline of a service that sits on a training hot path.
 //!
-//! Architecture: one event-loop thread owns every connection as a small
-//! state machine (non-blocking accept, [`FrameReader`] framing, buffered
-//! non-blocking writes) driven by the std-only readiness [`Poller`]. The
-//! loop itself never plans: `plan` and `audit` requests become jobs on a
-//! bounded queue drained by `workers` planner threads, whose responses come
-//! back through a completion queue the loop flushes to each connection.
-//! Cheap requests (`stats`, `shutdown`, parse errors) are answered inline.
-//! A connection serves one request at a time, so responses stay in request
-//! order.
+//! Architecture: [`Server::run`] accepts in blocking mode and gives each
+//! connection a scoped thread that blocks in `read` on a [`FrameReader`],
+//! so a request is seen the moment its bytes arrive. Connection threads
+//! never plan: `plan` and `audit` requests become jobs on a bounded queue
+//! drained by `workers` planner threads, and a worker hands each finished
+//! job back through the connection's reply slot, so the reply is written
+//! the moment planning ends. Cheap requests (`stats`, `shutdown`, parse
+//! errors) are answered on the connection thread. A connection serves one
+//! request at a time, so pipelined requests are answered in order.
 //!
 //! Contention discipline, per layer:
 //!
@@ -25,19 +25,20 @@
 //! - **Sharded metrics**: each worker records into its own metrics shard;
 //!   shards merge only when a `stats` snapshot is taken.
 //!
-//! Fault discipline, per request (unchanged from the chaos-hardened
-//! blocking front-end — the seeded chaos harness runs against this loop):
+//! Fault discipline, per request (the seeded chaos harness runs against
+//! this front-end):
 //!
 //! - **Deadlines**: a `deadline_ms` budget propagates from the request line
 //!   through planning (and any coalesced wait) to the response write; an
 //!   expired budget is answered with a typed `deadline_exceeded` error
 //!   instead of a stale plan.
-//! - **Bounded framing**: [`FrameReader`] owns partial frames across read
-//!   ticks, sheds byte-dribbling clients (`slow_client`) after
-//!   [`ServerConfig::frame_timeout_ms`], closes half-open idle connections
-//!   after [`ServerConfig::idle_timeout_ms`], and resynchronizes after
-//!   oversized lines (`frame_oversized`) — no client behavior can pin the
-//!   loop or a worker.
+//! - **Bounded framing and I/O**: [`FrameReader`] owns partial frames across
+//!   read timeouts, sheds byte-dribbling clients (`slow_client`) after
+//!   [`ServerConfig::frame_timeout_ms`], and resynchronizes after oversized
+//!   lines (`frame_oversized`); idle connections close after
+//!   [`ServerConfig::idle_timeout_ms`], and a client that stops reading is
+//!   dropped after [`ServerConfig::write_timeout_ms`] — no client behavior
+//!   can pin a connection thread or a worker.
 //! - **Panic containment**: planner runs and whole jobs run under
 //!   `catch_unwind`; a panic is answered with a typed `worker_panicked`
 //!   error and the pool survives, with a worker-loop respawn backstop so
@@ -52,12 +53,13 @@
 //!   past the grace get a typed `shutting_down` error, never a silently
 //!   dropped connection.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use zeppelin_core::plan_io::plan_from_json;
@@ -69,7 +71,6 @@ use crate::admission::{AdmissionGate, CircuitBreaker};
 use crate::cache::{CacheStats, CachedPlan, PlanKey, ShardedPlanCache};
 use crate::canonical::CanonicalBatch;
 use crate::chaos::PlannerChaos;
-use crate::event::Poller;
 use crate::frame::{Frame, FrameError, FrameReader, MAX_FRAME_BYTES};
 use crate::metrics::{MetricsShard, MetricsSnapshot, ServiceMetrics};
 use crate::protocol::{
@@ -83,20 +84,18 @@ use crate::singleflight::{FlightOutcome, FlightTable, Join};
 /// [`MAX_FRAME_BYTES`], kept for callers of the original constant).
 pub const MAX_LINE_BYTES: u64 = MAX_FRAME_BYTES as u64;
 
-/// Readiness-poll budget for one idle event-loop pass: the upper bound on
-/// how long the loop sleeps when no connection has pending work.
-const LOOP_TICK: Duration = Duration::from_millis(1);
-
-/// Fairness bound: at most this many frames are handled per connection per
-/// event-loop pass, so one pipelining client cannot starve the rest.
-const FRAMES_PER_TICK: usize = 64;
+/// Longest a connection thread blocks in one `read`: how soon a quiet
+/// connection notices that the drain grace has ended. Requests never wait
+/// on it — a read returns as soon as bytes arrive.
+const DRAIN_NOTICE: Duration = Duration::from_millis(50);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Planner worker threads (the event loop itself is one more thread).
+    /// Planner worker threads (on top of them, the thread calling
+    /// [`Server::run`] accepts, and each connection gets its own thread).
     pub workers: usize,
     /// Plan/audit jobs allowed to wait for a worker before the request is
     /// rejected with a typed `overloaded` error.
@@ -128,8 +127,8 @@ pub struct ServerConfig {
     /// One frame may dribble at most this long before the connection is
     /// shed with `slow_client` (slow-loris guard).
     pub frame_timeout_ms: u64,
-    /// A client that stops reading its responses is disconnected once its
-    /// write buffer has made no progress for this long.
+    /// A client that stops reading its responses is disconnected once a
+    /// response write has made no progress for this long.
     pub write_timeout_ms: u64,
     /// Admission gate high-water mark: estimated in-flight planner
     /// milliseconds beyond which cache misses are shed to degraded mode.
@@ -186,7 +185,7 @@ pub struct ServerReport {
 
 /// A plan/audit job queued for a planner worker.
 struct Job {
-    conn: u64,
+    reply: Arc<ReplySlot>,
     request: JobRequest,
 }
 
@@ -204,27 +203,66 @@ enum JobRequest {
     },
 }
 
-/// A finished job's response, routed back to its connection.
+/// One response line, and whether the connection closes after it.
 struct Completion {
-    conn: u64,
     response: String,
     close: bool,
 }
 
+impl Completion {
+    fn reply(response: String) -> Completion {
+        Completion {
+            response,
+            close: false,
+        }
+    }
+
+    fn goodbye(response: String) -> Completion {
+        Completion {
+            response,
+            close: true,
+        }
+    }
+}
+
+/// Where a planner worker hands a finished job back to the connection
+/// thread waiting on it. One per connection, reused for each of its jobs.
+#[derive(Default)]
+struct ReplySlot {
+    done: Mutex<Option<Completion>>,
+    ready: Condvar,
+}
+
+impl ReplySlot {
+    fn fill(&self, completion: Completion) {
+        *self.done.lock().expect("reply slot poisoned") = Some(completion);
+        self.ready.notify_one();
+    }
+
+    fn wait(&self) -> Completion {
+        let done = self.done.lock().expect("reply slot poisoned");
+        let mut done = self
+            .ready
+            .wait_while(done, |d| d.is_none())
+            .expect("reply slot poisoned");
+        done.take().expect("woken with a completion")
+    }
+}
+
 struct JobQueue {
     queue: VecDeque<Job>,
-    inflight: usize,
     closed: bool,
 }
 
 struct Shared {
     cfg: ServerConfig,
+    /// Where `begin_drain` connects to wake the blocked `accept`.
+    wake_addr: SocketAddr,
     shutdown: AtomicBool,
     /// Set when shutdown begins: the end of the drain grace period.
     drain_until: Mutex<Option<Instant>>,
     jobs: Mutex<JobQueue>,
     job_ready: Condvar,
-    completions: Mutex<Vec<Completion>>,
     metrics: ServiceMetrics,
     cache: ShardedPlanCache,
     flights: FlightTable,
@@ -236,11 +274,15 @@ impl Shared {
     fn begin_drain(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let mut until = self.drain_until.lock().expect("drain poisoned");
-        if until.is_none() {
-            *until = Some(Instant::now() + Duration::from_millis(self.cfg.grace_ms));
+        if until.is_some() {
+            return;
         }
+        *until = Some(Instant::now() + Duration::from_millis(self.cfg.grace_ms));
         drop(until);
-        self.job_ready.notify_all();
+        // The accept thread is blocked in `accept`; one connection to our
+        // own listener wakes it to see the flag. If it fails, the next
+        // client's connection does the same.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
     }
 
     /// True once the drain grace period has elapsed (always false before
@@ -255,7 +297,7 @@ impl Shared {
             .is_none_or(|t| Instant::now() > t)
     }
 
-    /// Releases the workers once the event loop has fully drained.
+    /// Releases the workers once every connection thread has ended.
     fn close_jobs(&self) {
         self.jobs.lock().expect("jobs poisoned").closed = true;
         self.job_ready.notify_all();
@@ -266,47 +308,51 @@ impl Shared {
 pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,
-    shared: Arc<Shared>,
+    shared: Shared,
 }
 
 impl Server {
-    /// Binds the listener (non-blocking accept on the event loop).
+    /// Binds the listener.
     ///
     /// # Errors
     ///
     /// Propagates socket errors (address in use, permission...).
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let wake_ip = match local_addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
         let cache = ShardedPlanCache::new(cfg.cache_capacity, cfg.cache_shards);
         let gate = AdmissionGate::new(cfg.planner_highwater_ms, cfg.planner_estimate_ms);
         let breaker = CircuitBreaker::new(
             cfg.breaker_failures,
             Duration::from_millis(cfg.breaker_cooldown_ms),
         );
-        // One metrics shard per worker plus one for the event loop.
+        // One metrics shard per worker plus one shared by the connection
+        // threads.
         let metrics = ServiceMetrics::with_shards(cfg.workers.max(1) + 1);
         Ok(Server {
             listener,
             local_addr,
-            shared: Arc::new(Shared {
+            shared: Shared {
                 cfg,
+                wake_addr: SocketAddr::new(wake_ip, local_addr.port()),
                 shutdown: AtomicBool::new(false),
                 drain_until: Mutex::new(None),
                 jobs: Mutex::new(JobQueue {
                     queue: VecDeque::new(),
-                    inflight: 0,
                     closed: false,
                 }),
                 job_ready: Condvar::new(),
-                completions: Mutex::new(Vec::new()),
                 metrics,
                 cache,
                 flights: FlightTable::new(),
                 gate,
                 breaker,
-            }),
+            },
         })
     }
 
@@ -315,33 +361,31 @@ impl Server {
         self.local_addr
     }
 
-    /// Serves until a `shutdown` request arrives, then drains the workers
-    /// and reports final metrics.
+    /// Serves until a `shutdown` request arrives, then drains the
+    /// connections and workers and reports final metrics.
     ///
     /// # Errors
     ///
-    /// Propagates unexpected accept errors (transient `WouldBlock` /
-    /// `Interrupted` are retried).
+    /// Propagates unexpected accept errors (`Interrupted` is retried).
     pub fn run(self) -> std::io::Result<ServerReport> {
-        let shared = Arc::clone(&self.shared);
+        let shared = &self.shared;
         // The scope joins every worker before returning, so in-flight jobs
         // finish and the final snapshot below sees them.
         std::thread::scope(|scope| -> std::io::Result<()> {
             for worker in 0..shared.cfg.workers.max(1) {
-                let shared = Arc::clone(&shared);
                 // Respawn backstop: a panic that escapes the per-job
                 // containment must not shrink the pool, so the worker
                 // re-enters its loop instead of unwinding out of the scope.
                 scope.spawn(move || loop {
-                    match catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, worker))) {
+                    match catch_unwind(AssertUnwindSafe(|| worker_loop(shared, worker))) {
                         Ok(()) => break,
                         Err(_) => shared.metrics.record_worker_respawn(),
                     }
                 });
             }
-            let result = event_loop(&shared, &self.listener);
-            // The loop only exits once the job queue is drained; closing it
-            // lets the parked workers observe the end and return.
+            // The inner scope joins every connection thread, and each waits
+            // for its own job, so no job is queued or in flight after it.
+            let result = std::thread::scope(|conns| accept_loop(shared, &self.listener, conns));
             shared.close_jobs();
             result
         })?;
@@ -353,354 +397,172 @@ impl Server {
     }
 }
 
-/// Per-connection state owned by the event loop.
-struct Conn {
-    /// The poller token: how completions find their way back here.
-    token: u64,
-    reader: FrameReader<TcpStream>,
-    writer: TcpStream,
-    /// Buffered response bytes not yet accepted by the socket.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// True while a plan/audit job for this connection is in flight — the
-    /// loop stops reading it, so responses keep request order and a
-    /// pipelining client gets natural backpressure.
-    busy: bool,
-    idle_since: Instant,
-    close_after_flush: bool,
-    /// Saw EOF or a fatal read error: flush what's pending, then close.
-    read_closed: bool,
-    write_stalled_since: Option<Instant>,
-}
-
-enum FlushOutcome {
-    /// Everything pending was written (possibly nothing was pending).
-    Drained,
-    /// The socket would block; bytes remain buffered.
-    Blocked,
-    /// The connection is unusable (error, or write-stall past the budget).
-    Broken,
-}
-
-impl Conn {
-    fn push_line(&mut self, response: &str) {
-        self.out.extend_from_slice(response.as_bytes());
-        self.out.push(b'\n');
-    }
-
-    fn pending_out(&self) -> bool {
-        self.out_pos < self.out.len()
-    }
-
-    /// Writes as much buffered output as the socket accepts. Returns the
-    /// outcome plus whether any byte moved (for loop progress accounting).
-    fn flush(&mut self, write_timeout: Duration) -> (FlushOutcome, bool) {
-        let mut moved = false;
-        while self.out_pos < self.out.len() {
-            match self.writer.write(&self.out[self.out_pos..]) {
-                Ok(0) => return (FlushOutcome::Broken, moved),
-                Ok(n) => {
-                    self.out_pos += n;
-                    self.write_stalled_since = None;
-                    moved = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    let since = *self.write_stalled_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() > write_timeout {
-                        // The client stopped reading its responses; it
-                        // cannot pin buffer memory forever.
-                        return (FlushOutcome::Broken, moved);
-                    }
-                    return (FlushOutcome::Blocked, moved);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return (FlushOutcome::Broken, moved),
-            }
-        }
-        self.out.clear();
-        self.out_pos = 0;
-        (FlushOutcome::Drained, moved)
-    }
-}
-
-/// The single-threaded readiness event loop: accepts, frames, dispatches
-/// jobs, flushes completions, and enforces every per-connection timeout.
-fn event_loop(shared: &Shared, listener: &TcpListener) -> std::io::Result<()> {
-    let cfg = &shared.cfg;
-    let frame_timeout = Duration::from_millis(cfg.frame_timeout_ms.max(1));
-    let idle_timeout = Duration::from_millis(cfg.idle_timeout_ms.max(1));
-    let write_timeout = Duration::from_millis(cfg.write_timeout_ms.max(1));
-    let mut poller = Poller::new();
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token: u64 = 0;
-    let mut ready: Vec<u64> = Vec::new();
-    let mut to_close: Vec<u64> = Vec::new();
-    let mut progress = true;
+/// Accepts connections, one scoped thread each, until drain begins.
+fn accept_loop<'scope>(
+    shared: &'scope Shared,
+    listener: &TcpListener,
+    scope: &'scope Scope<'scope, '_>,
+) -> std::io::Result<()> {
+    let mut conns: Vec<ScopedJoinHandle<'scope, ()>> = Vec::new();
     loop {
-        // Readiness scan; when the previous pass made progress, don't
-        // sleep — there may be more to do right now.
-        poller.poll(
-            &mut ready,
-            if progress { Duration::ZERO } else { LOOP_TICK },
-        );
-        ready.sort_unstable();
-        progress = false;
-
-        // 1. Accept new connections (stops once drain begins).
-        if !shared.shutdown.load(Ordering::SeqCst) {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        progress = true;
-                        accept_conn(shared, stream, &mut conns, &mut poller, &mut next_token);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        shared.begin_drain();
-                        shared.close_jobs();
-                        return Err(e);
-                    }
-                }
-            }
-        }
-
-        // 2. Route finished jobs back to their connections.
-        let completed = std::mem::take(&mut *shared.completions.lock().expect("completions"));
-        for done in completed {
-            progress = true;
-            if let Some(conn) = conns.get_mut(&done.conn) {
-                conn.push_line(&done.response);
-                conn.busy = false;
-                conn.idle_since = Instant::now();
-                if done.close {
-                    conn.close_after_flush = true;
-                }
-            }
-        }
-
-        // 3. Service every connection: flush, then read/dispatch.
-        to_close.clear();
-        for (&token, conn) in conns.iter_mut() {
-            let (outcome, moved) = conn.flush(write_timeout);
-            progress |= moved;
-            match outcome {
-                FlushOutcome::Broken => {
-                    to_close.push(token);
-                    continue;
-                }
-                FlushOutcome::Blocked => continue,
-                FlushOutcome::Drained => {}
-            }
-            if conn.close_after_flush || conn.read_closed {
-                if !conn.pending_out() {
-                    to_close.push(token);
-                }
-                continue;
-            }
-            if conn.busy {
-                continue;
-            }
-            // Due when the socket has pending input (poller) or the frame
-            // reader still buffers bytes from an earlier read — a complete
-            // pipelined line, or a partial frame whose slow-loris budget
-            // must keep being enforced even though no new bytes arrive.
-            let due = ready.binary_search(&token).is_ok() || conn.reader.partial_len() > 0;
-            if due {
-                progress |= drive_conn(shared, conn, frame_timeout, write_timeout);
-            } else if shared.past_grace() {
-                // Quiesced connection during drain: nothing buffered,
-                // nothing pending — close it.
-                to_close.push(token);
-            } else if conn.idle_since.elapsed() > idle_timeout {
-                // Half-open / silent client: free the slot.
-                to_close.push(token);
-            }
-        }
-        for token in &to_close {
-            conns.remove(token);
-            poller.deregister(*token);
-            progress = true;
-        }
-
-        // 4. Exit once drained: no accepted work left anywhere.
+        let accepted = listener.accept();
+        // Once drain begins, the wake-up connection (or a late client) is
+        // closed unanswered.
         if shared.shutdown.load(Ordering::SeqCst) {
-            let jobs_idle = {
-                let jobs = shared.jobs.lock().expect("jobs poisoned");
-                jobs.queue.is_empty() && jobs.inflight == 0
-            };
-            let completions_empty = shared.completions.lock().expect("completions").is_empty();
-            if jobs_idle && completions_empty && conns.is_empty() {
-                return Ok(());
+            return Ok(());
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                conns.retain(|c| !c.is_finished());
+                if conns.len() >= shared.cfg.max_connections {
+                    refuse(shared, stream);
+                } else {
+                    conns.push(scope.spawn(move || serve_conn(shared, stream)));
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                shared.begin_drain();
+                return Err(e);
             }
         }
     }
 }
 
-fn accept_conn(
-    shared: &Shared,
-    stream: TcpStream,
-    conns: &mut HashMap<u64, Conn>,
-    poller: &mut Poller,
-    next_token: &mut u64,
-) {
-    if conns.len() >= shared.cfg.max_connections {
-        shared.metrics.record_rejected();
-        // Best-effort rejection notice; the client may already be gone.
-        let mut stream = stream;
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(
-            shared.cfg.write_timeout_ms.max(1),
-        )));
-        let _ = writeln!(
-            stream,
-            "{}",
-            typed_error(
-                ErrorCode::Overloaded,
-                "overloaded: connection limit reached"
-            )
-        );
-        return;
-    }
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    let (writer, probe) = match (stream.try_clone(), stream.try_clone()) {
-        (Ok(w), Ok(p)) => (w, p),
-        _ => return,
-    };
-    let token = *next_token;
-    *next_token += 1;
-    poller.register(token, probe);
-    conns.insert(
-        token,
-        Conn {
-            token,
-            reader: FrameReader::new(stream),
-            writer,
-            out: Vec::new(),
-            out_pos: 0,
-            busy: false,
-            idle_since: Instant::now(),
-            close_after_flush: false,
-            read_closed: false,
-            write_stalled_since: None,
-        },
+/// Answers a connection past `max_connections` with a typed `overloaded`
+/// line and closes it.
+fn refuse(shared: &Shared, mut stream: TcpStream) {
+    shared.metrics.record_rejected();
+    // Best-effort rejection notice; the client may already be gone.
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(
+        shared.cfg.write_timeout_ms.max(1),
+    )));
+    let _ = writeln!(
+        stream,
+        "{}",
+        typed_error(
+            ErrorCode::Overloaded,
+            "overloaded: connection limit reached"
+        )
     );
 }
 
-/// Reads and handles frames from one due connection until it goes busy,
-/// blocks, errors, or exhausts its per-pass fairness budget. Returns
-/// whether any frame was consumed (loop progress).
-fn drive_conn(
-    shared: &Shared,
-    conn: &mut Conn,
-    frame_timeout: Duration,
-    write_timeout: Duration,
-) -> bool {
+/// Serves one connection until the client leaves, a budget or the drain
+/// closes it, or a response cannot be written.
+fn serve_conn(shared: &Shared, stream: TcpStream) {
+    let cfg = &shared.cfg;
     let metrics = shared.metrics.shard(0);
-    let mut acted = false;
-    for _ in 0..FRAMES_PER_TICK {
-        match conn.reader.read_frame(Some(frame_timeout)) {
+    let frame_budget = Duration::from_millis(cfg.frame_timeout_ms.max(1));
+    let idle_budget = Duration::from_millis(cfg.idle_timeout_ms.max(1));
+    let write_budget = Duration::from_millis(cfg.write_timeout_ms.max(1));
+    // Without `TCP_NODELAY` a response written while the previous one is
+    // unacknowledged waits for the client's delayed ACK.
+    let setup = stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_write_timeout(Some(write_budget)));
+    let Ok(mut writer) = setup.and_then(|()| stream.try_clone()) else {
+        return;
+    };
+    let mut reader = FrameReader::new(stream);
+    let reply = Arc::new(ReplySlot::default());
+    let mut read_timeout = Duration::ZERO;
+    let mut idle_since = Instant::now();
+    loop {
+        // Block until bytes arrive or the current frame's (or the idle)
+        // budget runs out, capped so a quiet connection sees the drain.
+        let budget = match reader.frame_age() {
+            Some(age) => frame_budget.saturating_sub(age),
+            None => idle_budget.saturating_sub(idle_since.elapsed()),
+        };
+        let timeout = budget.clamp(Duration::from_millis(1), DRAIN_NOTICE);
+        if timeout != read_timeout {
+            // The clone shares the socket, so this times the reader's reads.
+            if writer.set_read_timeout(Some(timeout)).is_err() {
+                return;
+            }
+            read_timeout = timeout;
+        }
+        let done = match reader.read_frame(Some(frame_budget)) {
             Ok(Frame::Line(line)) => {
-                acted = true;
-                conn.idle_since = Instant::now();
+                let arrival = Instant::now();
+                idle_since = arrival;
                 let line = line.trim();
                 if line.is_empty() {
                     continue;
                 }
-                let arrival = Instant::now();
                 if shared.past_grace() {
                     // Drain straggler: a typed goodbye, not a dropped
                     // connection.
                     metrics.record_shutting_down();
-                    conn.push_line(&typed_error(
+                    Completion::goodbye(typed_error(
                         ErrorCode::ShuttingDown,
                         "server is draining and the grace period has passed",
-                    ));
-                    conn.close_after_flush = true;
-                    break;
-                }
-                if handle_line(shared, conn, line, arrival) {
-                    // A job is in flight; stop reading until it completes.
-                    break;
-                }
-                // Inline reply: hand it to the socket right away so a
-                // request/reply client never waits a full tick.
-                let (outcome, _) = conn.flush(write_timeout);
-                if matches!(outcome, FlushOutcome::Broken) {
-                    conn.read_closed = true;
-                    break;
-                }
-                if conn.close_after_flush {
-                    break;
+                    ))
+                } else {
+                    handle_line(shared, &reply, line, arrival)
                 }
             }
-            Ok(Frame::Eof) => {
-                // Flush anything pending (e.g. an oversize notice), then
-                // close.
-                conn.read_closed = true;
-                acted = true;
-                break;
+            Err(FrameError::TimedOut { mid_frame }) => {
+                // A partial frame keeps waiting (`read_frame` sheds it once
+                // over budget); a quiet connection closes past the grace or
+                // the idle budget.
+                if !mid_frame && (shared.past_grace() || idle_since.elapsed() > idle_budget) {
+                    return;
+                }
+                continue;
             }
-            Err(FrameError::TimedOut { .. }) => break,
             Err(FrameError::SlowFrame { partial }) => {
-                acted = true;
                 metrics.record_slow_client();
-                conn.push_line(&typed_error(
+                Completion::goodbye(typed_error(
                     ErrorCode::SlowClient,
                     &format!(
                         "request frame stalled after {partial} byte(s); \
                          send complete lines within the frame budget"
                     ),
-                ));
-                conn.close_after_flush = true;
-                break;
+                ))
             }
             Err(FrameError::Oversized { discarded }) => {
-                acted = true;
                 metrics.record_error();
-                conn.push_line(&typed_error(
+                // Resynchronized: the connection keeps serving.
+                Completion::reply(typed_error(
                     ErrorCode::FrameOversized,
                     &format!(
                         "request line exceeds the {MAX_LINE_BYTES}-byte limit \
                          ({discarded} bytes discarded); resynchronized at the next line"
                     ),
-                ));
-                // Resynchronized: the connection keeps serving.
-                let (outcome, _) = conn.flush(write_timeout);
-                if matches!(outcome, FlushOutcome::Broken) {
-                    conn.read_closed = true;
-                    break;
-                }
+                ))
             }
-            // Peer vanished mid-frame: nobody left to answer.
-            Err(FrameError::Truncated { .. }) | Err(FrameError::Io(_)) => {
-                conn.read_closed = true;
-                acted = true;
-                break;
-            }
+            // The peer closed or vanished: nobody left to answer.
+            Ok(Frame::Eof) | Err(FrameError::Truncated { .. }) | Err(FrameError::Io(_)) => return,
+        };
+        // One write per response line.
+        let mut response = done.response;
+        response.push('\n');
+        if writer.write_all(response.as_bytes()).is_err() || done.close {
+            return;
         }
+        idle_since = Instant::now();
     }
-    acted
 }
 
-/// Handles one complete request line on the event loop. Cheap requests are
-/// answered inline into the connection's output buffer; plan/audit requests
-/// are dispatched to the worker pool. Returns true when a job went in
-/// flight (the connection must stop reading).
-fn handle_line(shared: &Shared, conn_state: &mut Conn, line: &str, arrival: Instant) -> bool {
+/// Handles one complete request line on its connection thread. Cheap
+/// requests are answered here; plan/audit requests go to the worker pool
+/// and this waits for the answer.
+fn handle_line(
+    shared: &Shared,
+    reply: &Arc<ReplySlot>,
+    line: &str,
+    arrival: Instant,
+) -> Completion {
     let metrics = shared.metrics.shard(0);
     match parse_request(line) {
         Ok(Request::Stats) => {
             metrics.record_stats();
-            conn_state.push_line(&stats_response(&shared.metrics.snapshot()));
-            false
+            Completion::reply(stats_response(&shared.metrics.snapshot()))
         }
         Ok(Request::Shutdown) => {
             shared.begin_drain();
-            conn_state.push_line(&shutdown_response());
-            conn_state.close_after_flush = true;
-            false
+            Completion::goodbye(shutdown_response())
         }
         Ok(Request::Plan {
             seqs,
@@ -711,9 +573,9 @@ fn handle_line(shared: &Shared, conn_state: &mut Conn, line: &str, arrival: Inst
             deadline_ms,
         }) => {
             let deadline = deadline_ms.map(|ms| arrival + Duration::from_millis(ms));
-            dispatch_job(
+            run_job(
                 shared,
-                conn_state,
+                reply,
                 JobRequest::Plan {
                     seqs,
                     method,
@@ -724,49 +586,42 @@ fn handle_line(shared: &Shared, conn_state: &mut Conn, line: &str, arrival: Inst
                 },
             )
         }
-        Ok(Request::Audit { plan }) => dispatch_job(shared, conn_state, JobRequest::Audit { plan }),
+        Ok(Request::Audit { plan }) => run_job(shared, reply, JobRequest::Audit { plan }),
         Err(msg) => {
             metrics.record_error();
-            conn_state.push_line(&error_response(&msg));
-            false
+            Completion::reply(error_response(&msg))
         }
     }
 }
 
-/// Queues a job for the worker pool, bounded by `max_queue`. On a full
-/// queue the request is rejected typed and the connection keeps serving.
-/// Returns true when the job was queued.
-fn dispatch_job(shared: &Shared, conn_state: &mut Conn, request: JobRequest) -> bool {
+/// Queues a job for the worker pool, bounded by `max_queue`, and waits for
+/// its completion. On a full queue the request is rejected typed and the
+/// connection keeps serving.
+fn run_job(shared: &Shared, reply: &Arc<ReplySlot>, request: JobRequest) -> Completion {
     let mut jobs = shared.jobs.lock().expect("jobs poisoned");
     if jobs.queue.len() >= shared.cfg.max_queue {
         drop(jobs);
         shared.metrics.record_rejected();
-        conn_state.push_line(&typed_error(
-            ErrorCode::Overloaded,
-            "overloaded: queue full",
-        ));
-        return false;
+        return Completion::reply(typed_error(ErrorCode::Overloaded, "overloaded: queue full"));
     }
     jobs.queue.push_back(Job {
-        conn: conn_state.token,
+        reply: Arc::clone(reply),
         request,
     });
     shared.metrics.set_queue_depth(jobs.queue.len());
     drop(jobs);
     shared.job_ready.notify_one();
-    conn_state.busy = true;
-    true
+    reply.wait()
 }
 
 fn worker_loop(shared: &Shared, worker: usize) {
-    // Shard 0 belongs to the event loop; workers take 1..=workers.
+    // Shard 0 belongs to the connection threads; workers take 1..=workers.
     let metrics = shared.metrics.shard(worker + 1);
     loop {
         let job = {
             let mut jobs = shared.jobs.lock().expect("jobs poisoned");
             loop {
                 if let Some(job) = jobs.queue.pop_front() {
-                    jobs.inflight += 1;
                     shared.metrics.set_queue_depth(jobs.queue.len());
                     break Some(job);
                 }
@@ -780,42 +635,30 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 jobs = guard;
             }
         };
-        let Some(job) = job else { return };
-        let conn = job.conn;
+        let Some(Job { reply, request }) = job else {
+            return;
+        };
         // Panic containment: whatever the handler does, the job answers
         // typed and the worker survives.
-        let completion = match catch_unwind(AssertUnwindSafe(|| execute_job(shared, metrics, job)))
-        {
-            Ok(response) => Completion {
-                conn,
-                response,
-                close: false,
-            },
-            Err(_) => {
-                metrics.record_worker_panic();
-                metrics.record_error();
-                Completion {
-                    conn,
-                    response: typed_error(
+        let completion =
+            match catch_unwind(AssertUnwindSafe(|| execute_job(shared, metrics, request))) {
+                Ok(response) => Completion::reply(response),
+                Err(_) => {
+                    metrics.record_worker_panic();
+                    metrics.record_error();
+                    Completion::goodbye(typed_error(
                         ErrorCode::WorkerPanicked,
                         "the worker panicked serving this request; \
                          the panic was contained and the pool is intact",
-                    ),
-                    close: true,
+                    ))
                 }
-            }
-        };
-        shared
-            .completions
-            .lock()
-            .expect("completions")
-            .push(completion);
-        shared.jobs.lock().expect("jobs poisoned").inflight -= 1;
+            };
+        reply.fill(completion);
     }
 }
 
-fn execute_job(shared: &Shared, metrics: MetricsShard<'_>, job: Job) -> String {
-    match job.request {
+fn execute_job(shared: &Shared, metrics: MetricsShard<'_>, request: JobRequest) -> String {
+    match request {
         JobRequest::Plan {
             seqs,
             method,
