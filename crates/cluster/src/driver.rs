@@ -14,10 +14,13 @@
 //!
 //! Per-job execution reuses the single-job stack unchanged: batches are
 //! pre-sampled at arrival from the job's seed exactly as `run_training`
-//! samples them, and each step runs through `simulate_step` on a
-//! [`SchedulerCtx`] derived for the job's current node allocation. Step
-//! simulations are memoized per `(job, step, width)` so checkpoint-rollback
-//! replays and determinism reruns are cheap. Elastic resizes go through
+//! samples them, and each launch plans its step with the scheduler on a
+//! [`SchedulerCtx`] derived for the job's current node allocation, exactly
+//! as `simulate_step` does. The plan and everything else the simulation
+//! reads key the [`StepCache`] in [`ClusterConfig::step_cache`], shared by
+//! every run on clones of the config, so rollback replays and reruns of
+//! the same trace under other policies skip the simulation but not the
+//! planner. Elastic resizes go through
 //! [`SchedulerCtx::resize_nodes`] and charge a replan cost; preemption is
 //! checkpoint-and-requeue with [`Checkpointer`] rollback semantics and a
 //! restore cost on the next start — nothing is free.
@@ -30,13 +33,14 @@ use rand::SeedableRng;
 use zeppelin_core::scheduler::{Scheduler, SchedulerCtx};
 use zeppelin_data::batch::{sample_batch, Batch};
 use zeppelin_exec::recovery::Checkpointer;
-use zeppelin_exec::step::{simulate_step, StepConfig};
+use zeppelin_exec::step::{simulate_plan, StepConfig, StepError};
 use zeppelin_model::config::ModelConfig;
 use zeppelin_sim::time::{SimDuration, SimTime};
 use zeppelin_sim::topology::ClusterSpec;
 
 use crate::metrics::{ClusterEvent, ClusterReport, JobOutcome, Outcome};
 use crate::policy::{Action, ClusterPolicy, ClusterView, QueuedView, RunningView};
+use crate::step_cache::{StepCache, StepKey};
 use crate::trace::{JobSpec, JobTrace, TraceError};
 
 /// Configuration of a cluster simulation.
@@ -54,6 +58,10 @@ pub struct ClusterConfig {
     /// Upper bound on processed events — a runaway backstop, not a tuning
     /// knob.
     pub max_events: usize,
+    /// Step outcomes already simulated. Clones of the config share it, so
+    /// runs comparing policies on one trace simulate each distinct step
+    /// once; give a run [`StepCache::new`] to simulate everything afresh.
+    pub step_cache: StepCache,
 }
 
 impl Default for ClusterConfig {
@@ -64,6 +72,7 @@ impl Default for ClusterConfig {
             replan_cost: SimDuration::from_millis(200),
             ckpt: Checkpointer::new(2, SimDuration::from_millis(500)),
             max_events: 1_000_000,
+            step_cache: StepCache::new(),
         }
     }
 }
@@ -178,11 +187,6 @@ impl JobState {
     }
 }
 
-/// Memoized step simulations keyed by `(job, step, nodes)`. A job's context
-/// at a given width is a pure function of its spec, so the simulated step
-/// time is too — rollback replays and regrown allocations hit the cache.
-type StepMemo = BTreeMap<(usize, usize, usize), Result<SimDuration, String>>;
-
 struct Driver<'a> {
     cfg: &'a ClusterConfig,
     scheduler: &'a dyn Scheduler,
@@ -191,28 +195,32 @@ struct Driver<'a> {
     /// their arrival-order slot.
     queue: Vec<usize>,
     free_nodes: usize,
-    memo: StepMemo,
     events: Vec<ClusterEvent>,
     scheduler_name: String,
 }
 
 impl Driver<'_> {
+    /// Plans the job's `step` and simulates the plan, or reuses the outcome
+    /// of an identical earlier simulation.
     fn simulate(&mut self, job: usize, step: usize) -> Result<SimDuration, String> {
         let st = &self.states[&job];
-        let key = (job, step, st.nodes);
-        if let Some(hit) = self.memo.get(&key) {
-            return hit.clone();
-        }
         let ctx = st.ctx.as_ref().expect("running job has a context");
+        let batch = &st.batches[step];
+        let plan = self
+            .scheduler
+            .plan(batch, ctx)
+            .map_err(|e| StepError::Plan(e).to_string())?;
         let mut scfg = self.cfg.step.clone();
         scfg.seed = st.spec.seed.wrapping_add(step as u64);
-        let out = simulate_step(self.scheduler, &st.batches[step], ctx, &scfg)
-            .map(|rep| {
-                self.scheduler_name = rep.scheduler.clone();
-                rep.step_time
-            })
-            .map_err(|e| e.to_string());
-        self.memo.insert(key, out.clone());
+        let key = StepKey::new(&plan, batch, ctx, &scfg);
+        let out = self.cfg.step_cache.get_or_simulate(&key, || {
+            simulate_plan(&plan, batch, ctx, &scfg)
+                .map(|rep| rep.step_time)
+                .map_err(|e| e.to_string())
+        });
+        if out.is_ok() {
+            self.scheduler_name = plan.scheduler;
+        }
         out
     }
 
@@ -500,7 +508,6 @@ pub fn run_cluster(
         states: BTreeMap::new(),
         queue: Vec::new(),
         free_nodes: cfg.cluster.nodes,
-        memo: StepMemo::new(),
         events: Vec::new(),
         scheduler_name: String::new(),
     };
@@ -674,6 +681,29 @@ mod tests {
         }
     }
 
+    /// `cfg` on an empty cache of its own.
+    fn fresh(cfg: &ClusterConfig) -> ClusterConfig {
+        ClusterConfig {
+            step_cache: StepCache::new(),
+            ..cfg.clone()
+        }
+    }
+
+    /// Step launches of a run: every start and resize, and every commit
+    /// that does not complete its job.
+    fn launches(r: &ClusterReport) -> u64 {
+        r.events
+            .iter()
+            .map(|e| match e {
+                ClusterEvent::Start { .. }
+                | ClusterEvent::Resize { .. }
+                | ClusterEvent::StepCommit { .. } => 1,
+                ClusterEvent::Complete { .. } => -1,
+                _ => 0,
+            })
+            .sum::<i64>() as u64
+    }
+
     fn job(id: usize, tenant: &str, arrival_ns: u64) -> JobSpec {
         JobSpec {
             id,
@@ -721,7 +751,7 @@ mod tests {
             &StragglerRemap::new(),
         ] {
             let a = run_cluster(&FairShare, s, &trace, &cfg).unwrap();
-            let b = run_cluster(&FairShare, s, &trace, &cfg).unwrap();
+            let b = run_cluster(&FairShare, s, &trace, &fresh(&cfg)).unwrap();
             assert_eq!(a.completed + a.failed + a.rejected, 6, "{}", s.name());
             a.check().unwrap();
             // Tier-aware planning stays deterministic (sub-cluster slices
@@ -735,10 +765,16 @@ mod tests {
         let trace = JobTrace::random(21, 6, &cluster_a(3));
         let cfg = small_cfg(3);
         let a = run_cluster(&FairShare, &Zeppelin::new(), &trace, &cfg).unwrap();
-        let b = run_cluster(&FairShare, &Zeppelin::new(), &trace, &cfg).unwrap();
+        let b = run_cluster(&FairShare, &Zeppelin::new(), &trace, &fresh(&cfg)).unwrap();
         assert_eq!(a.events, b.events);
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.to_json().to_string(), b.to_json().to_string());
+        // A rerun on the warmed cache simulates nothing and changes nothing.
+        let sims = cfg.step_cache.stats().simulations;
+        let c = run_cluster(&FairShare, &Zeppelin::new(), &trace, &cfg).unwrap();
+        assert_eq!(cfg.step_cache.stats().simulations, sims);
+        assert_eq!(a.events, c.events);
+        assert_eq!(a.to_json().to_string(), c.to_json().to_string());
     }
 
     #[test]
@@ -853,12 +889,29 @@ mod tests {
             seed: 2,
         };
         let trace = JobTrace::new().push(whale).push(urgent);
-        let r = run_cluster(&FairShare, &Zeppelin::new(), &trace, &small_cfg(4)).unwrap();
+        let cfg = small_cfg(4);
+        let r = run_cluster(&FairShare, &Zeppelin::new(), &trace, &cfg).unwrap();
         assert_eq!(r.completed, 2, "both jobs finish: {:?}", r.events);
         assert!(r.preemptions >= 1, "events: {:?}", r.events);
         assert!(r.lost_tokens > 0, "rollback discards work");
         assert!(r.goodput < r.throughput);
         r.check().unwrap();
+        // The whale restarts on the same four nodes, so every replayed
+        // step (the aborted one included) is a cache hit.
+        let replayed: usize = r
+            .events
+            .iter()
+            .map(|e| match e {
+                ClusterEvent::Preempt { rolled_back, .. } => rolled_back + 1,
+                _ => 0,
+            })
+            .sum();
+        let stats = cfg.step_cache.stats();
+        assert!(
+            stats.hits >= replayed as u64,
+            "{replayed} replayed steps, {stats:?}"
+        );
+        assert_eq!(stats.hits + stats.simulations, launches(&r));
     }
 
     #[test]

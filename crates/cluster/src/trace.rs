@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use zeppelin_core::plan_io::{parse_json, Json, PlanIoError};
+use zeppelin_core::plan_io::{parse_json, Json, PlanIoError, MAX_JSON_DEPTH};
 use zeppelin_sim::time::SimTime;
 use zeppelin_sim::topology::ClusterSpec;
 
@@ -455,13 +455,17 @@ fn field_str(job: &Json, key: &str, idx: usize) -> Result<String, TraceIoError> 
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::Parse`] for malformed JSON,
+/// Returns [`TraceIoError::Parse`] for malformed or too deeply nested JSON,
 /// [`TraceIoError::Schema`] for missing or mistyped fields, and
 /// [`TraceIoError::Invalid`] when the well-formed trace violates
 /// [`JobTrace::validate`] invariants.
 pub fn trace_from_json(text: &str) -> Result<JobTrace, TraceIoError> {
     let root = parse_json(text).map_err(|e| match e {
         PlanIoError::Parse { offset, message } => TraceIoError::Parse { offset, message },
+        PlanIoError::TooDeep { offset } => TraceIoError::Parse {
+            offset,
+            message: format!("nesting deeper than {MAX_JSON_DEPTH} levels"),
+        },
         other => TraceIoError::Schema(other.to_string()),
     })?;
     if let Some(v) = root.get("schema_version").and_then(Json::as_u64) {

@@ -52,7 +52,8 @@ pub mod zones;
 pub use analysis::{analyze, try_analyze, PlanAnalysis, RankEstimate};
 pub use plan::{AttnMode, IterationPlan, PlanError, PlanOptions, SeqPlacement, Zone};
 pub use plan_io::{
-    parse_json, plan_from_json, plan_to_json, Json, PlanIoError, PLAN_SCHEMA_VERSION,
+    parse_json, plan_from_json, plan_to_json, Json, PlanIoError, MAX_JSON_DEPTH,
+    PLAN_SCHEMA_VERSION,
 };
 pub use scheduler::{Scheduler, SchedulerCtx};
 pub use validate::{validate, validate_with_batch, PlanViolation};

@@ -4,7 +4,9 @@
 //! simulate elsewhere — and the CLI's `plan --out` / `step --plan` flags.
 //! The workspace deliberately carries no JSON dependency, so this module
 //! includes a small recursive-descent JSON parser (strings, numbers,
-//! arrays, objects, literals) sufficient for the documented schema.
+//! arrays, objects, literals) sufficient for the documented schema. Its
+//! recursion is bounded by [`MAX_JSON_DEPTH`], so hostile nesting is a
+//! typed error, not a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,6 +29,13 @@ pub enum PlanIoError {
     /// The document is a well-formed plan that violates plan invariants
     /// (zero lengths, duplicate ranks, bogus micro-batch counts, …).
     Invalid(Vec<PlanViolation>),
+    /// Arrays and objects nest deeper than [`MAX_JSON_DEPTH`] levels. The
+    /// parser recurses once per level, so it stops here rather than
+    /// overflow the stack on hostile input.
+    TooDeep {
+        /// Byte offset of the bracket that opened one level too many.
+        offset: usize,
+    },
 }
 
 impl std::fmt::Display for PlanIoError {
@@ -39,11 +48,19 @@ impl std::fmt::Display for PlanIoError {
             PlanIoError::Invalid(violations) => {
                 write!(f, "invalid plan: {}", report(violations))
             }
+            PlanIoError::TooDeep { offset } => write!(
+                f,
+                "JSON nests deeper than {MAX_JSON_DEPTH} levels at byte {offset}"
+            ),
         }
     }
 }
 
 impl std::error::Error for PlanIoError {}
+
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. Plans,
+/// traces and serve messages nest only a few levels.
+pub const MAX_JSON_DEPTH: usize = 128;
 
 /// Schema version written by [`plan_to_json`]. Documents absent in the wild
 /// predate versioning and are treated as version 1.
@@ -152,11 +169,13 @@ impl std::fmt::Display for Json {
 ///
 /// # Errors
 ///
-/// Returns [`PlanIoError::Parse`] with the byte offset of the first error.
+/// Returns [`PlanIoError::Parse`] with the byte offset of the first error,
+/// and [`PlanIoError::TooDeep`] for nesting past [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, PlanIoError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -170,6 +189,8 @@ pub fn parse_json(text: &str) -> Result<Json, PlanIoError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -202,8 +223,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, PlanIoError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -285,6 +306,21 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to pass
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, PlanIoError>,
+    ) -> Result<Json, PlanIoError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(PlanIoError::TooDeep { offset: self.pos });
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, PlanIoError> {

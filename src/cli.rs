@@ -994,6 +994,22 @@ mod tests {
     }
 
     #[test]
+    fn audit_reports_hostile_nesting_instead_of_overflowing(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let dir = std::env::temp_dir().join("zeppelin-cli-nesting-test");
+        std::fs::create_dir_all(&dir)?;
+        let path = dir.join("deep.json");
+        let path_s = path.to_string_lossy().to_string();
+        std::fs::write(&path, "[".repeat(1_000_000))?;
+        let Err(CliError::RunFailed(msg)) = run(&opts(&["audit", &path_s])) else {
+            panic!("a million open brackets must fail the audit");
+        };
+        assert!(msg.contains("nests deeper than 128 levels"), "{msg}");
+        std::fs::remove_file(&path).ok();
+        Ok(())
+    }
+
+    #[test]
     fn run_command_aggregates_and_exports_json() -> Result<(), Box<dyn std::error::Error>> {
         let out = run(&opts(&[
             "run", "--steps", "2", "--tokens", "16384", "--nodes", "1",
