@@ -16,9 +16,9 @@
 //! - [`double_ring`]: LoongTrain-style two-level ring attention (related
 //!   work, §6).
 //!
-//! [`scheduler_by_name`] also resolves the heterogeneity-aware Zeppelin
-//! variants ([`zeppelin_core::het`]) so every frontend shares one
-//! scheduler vocabulary.
+//! [`scheduler_by_name`] resolves Zeppelin and every baseline, so every
+//! frontend shares one scheduler vocabulary. Heterogeneity needs no name
+//! of its own: Zeppelin reads per-rank speeds from its context.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,15 +39,12 @@ pub use packing::{pack_into_bins, pack_into_bins_tagged, redundant_fraction, Pac
 pub use te_cp::TeCp;
 pub use ulysses::Ulysses;
 
-use zeppelin_core::het::{StragglerRemap, ZeppelinHet};
 use zeppelin_core::scheduler::Scheduler;
 use zeppelin_core::zeppelin::Zeppelin;
 
 /// Scheduler names accepted by [`scheduler_by_name`] (canonical spellings).
-pub const SCHEDULER_NAMES: [&str; 9] = [
+pub const SCHEDULER_NAMES: [&str; 7] = [
     "zeppelin",
-    "zeppelin-het",
-    "straggler-remap",
     "te",
     "llama",
     "hybrid",
@@ -66,8 +63,6 @@ pub const SCHEDULER_NAMES: [&str; 9] = [
 pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
     match name.to_ascii_lowercase().as_str() {
         "zeppelin" => Ok(Box::new(Zeppelin::new())),
-        "zeppelin-het" | "zeppelinhet" | "het" => Ok(Box::new(ZeppelinHet::new())),
-        "straggler-remap" | "stragglerremap" => Ok(Box::new(StragglerRemap::new())),
         "te" | "te-cp" => Ok(Box::new(TeCp::new())),
         "llama" | "llama-cp" => Ok(Box::new(LlamaCp::new())),
         "hybrid" | "hybrid-dp" => Ok(Box::new(HybridDp::new())),

@@ -71,12 +71,13 @@ fn main() {
     );
     println!(
         "KNOWN DEVIATION: the paper measures the larger *relative* speedup on\n\
-         Cluster A. Its profiled ring-attention kernels run at ~8% of peak\n\
-         (Fig. 12: 4.41 ms compute vs 2.18 ms comm per round), leaving TE CP\n\
-         partially compute-bound, so Hopper GPUs lift the baseline on B. Our\n\
-         kernel model uses healthy FlashAttention efficiency (~50%), which\n\
-         makes TE CP communication-bound on both clusters — its throughput\n\
-         barely moves from A to B, and Zeppelin's gain grows with B's extra\n\
-         NICs instead. See EXPERIMENTS.md."
+         Cluster A; here it is larger on Cluster B. The cause is open. It is\n\
+         not kernel calibration: with the attention kernel's efficiency swept\n\
+         from 50% down to the paper's ~8% of peak, B's speedup stays larger\n\
+         and TE CP's throughput does not move. The leading hypothesis is TE\n\
+         CP's ring overlap: the paper's Fig. 12 per-round costs add up (comm\n\
+         plus compute), so its TE CP does not hide ring communication under\n\
+         compute, while this simulator's lowering overlaps the two. See\n\
+         EXPERIMENTS.md."
     );
 }

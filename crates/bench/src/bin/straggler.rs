@@ -3,8 +3,9 @@
 //! One GPU in a 2-node Cluster A runs degraded (thermal throttling, a bad
 //! HBM stack — a routine production event). Compares TE CP (every sequence
 //! crosses the slow GPU), Zeppelin planned *unaware* of the defect, and
-//! Zeppelin planned with straggler-aware placement (degraded ranks get
-//! lighter local queues and join intra-node rings last).
+//! Zeppelin planned *aware* of it: the degraded rank gets a lighter local
+//! queue, shorter zigzag chunks in its rings, and a smaller linear-module
+//! remap target.
 
 use zeppelin_baselines::te_cp::TeCp;
 use zeppelin_bench::harness::{paper_rng, paper_testbed};
@@ -28,8 +29,6 @@ fn main() {
     let aware_ctx = healthy_ctx.clone().with_rank_speed(speed.clone());
     let mut cfg = StepConfig::default();
     cfg.exec.rank_speed = speed.clone();
-    let mut aware_cfg = cfg.clone();
-    aware_cfg.exec.speed_aware_remap = true;
     let healthy_cfg = StepConfig::default();
 
     println!(
@@ -58,7 +57,7 @@ fn main() {
         let te_h = run(&TeCp::new(), &healthy_ctx, &healthy_cfg);
         let te_d = run(&TeCp::new(), &healthy_ctx, &cfg);
         let zep_unaware = run(&Zeppelin::new(), &healthy_ctx, &cfg);
-        let zep_aware = run(&Zeppelin::new(), &aware_ctx, &aware_cfg);
+        let zep_aware = run(&Zeppelin::new(), &aware_ctx, &cfg);
         for (label, r) in [
             ("TE CP healthy", &te_h),
             ("TE CP degraded", &te_d),
@@ -83,12 +82,10 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    println!("reading: a ring is as slow as its slowest member, so on");
-    println!("ring-heavy batches (ArXiv) both TE CP and Zeppelin pay the full");
-    println!("straggler tax and awareness cannot help — equal-split zigzag");
-    println!("chunks assume homogeneity. Awareness pays on local-heavy");
-    println!("batches (StackExchange): the slow GPU's local queue lightens");
-    println!("and the remapping layer sets speed-proportional linear-module");
-    println!("targets. The zeppelin-het scheduler closes the ring-heavy gap");
-    println!("with speed-proportional chunk sizes — see the hetero exhibit.");
+    println!("reading: a ring with equal-split zigzag chunks is as slow as its");
+    println!("slowest member, so unaware Zeppelin pays the straggler tax on");
+    println!("every ring the slow GPU joins. Aware Zeppelin pays on every");
+    println!("batch: the slow GPU's local queue lightens, its ring chunks");
+    println!("shrink in proportion to its speed, and the remapping layer sets");
+    println!("speed-proportional linear-module targets.");
 }

@@ -739,25 +739,19 @@ mod tests {
 
     #[test]
     fn hetero_schedulers_run_on_tiered_clusters() {
-        use zeppelin_core::het::{StragglerRemap, ZeppelinHet};
         use zeppelin_sim::topology::cluster_mixed;
         let trace = JobTrace::random(13, 6, &cluster_mixed(4));
         let cfg = ClusterConfig {
             cluster: cluster_mixed(4),
             ..ClusterConfig::default()
         };
-        for s in [
-            &ZeppelinHet::new() as &dyn Scheduler,
-            &StragglerRemap::new(),
-        ] {
-            let a = run_cluster(&FairShare, s, &trace, &cfg).unwrap();
-            let b = run_cluster(&FairShare, s, &trace, &fresh(&cfg)).unwrap();
-            assert_eq!(a.completed + a.failed + a.rejected, 6, "{}", s.name());
-            a.check().unwrap();
-            // Tier-aware planning stays deterministic (sub-cluster slices
-            // carry the surviving tiers with them).
-            assert_eq!(a.events, b.events, "{}", s.name());
-        }
+        let a = run_cluster(&FairShare, &Zeppelin::new(), &trace, &cfg).unwrap();
+        let b = run_cluster(&FairShare, &Zeppelin::new(), &trace, &fresh(&cfg)).unwrap();
+        assert_eq!(a.completed + a.failed + a.rejected, 6);
+        a.check().unwrap();
+        // Tier-aware planning stays deterministic (sub-cluster slices
+        // carry the surviving tiers with them).
+        assert_eq!(a.events, b.events);
     }
 
     #[test]

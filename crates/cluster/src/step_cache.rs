@@ -546,7 +546,6 @@ impl Encode for ExecConfig {
             gemm_kernel,
             grad_sync,
             rank_speed,
-            speed_aware_remap,
         } = self;
         routing_pipeline.encode(w);
         w.0.push(match queue_order {
@@ -564,7 +563,6 @@ impl Encode for ExecConfig {
             GradSync::Blocking => 2,
         });
         rank_speed.encode(w);
-        speed_aware_remap.encode(w);
     }
 }
 

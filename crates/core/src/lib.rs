@@ -11,7 +11,8 @@
 //! - [`routing`]: three-step multi-NIC communication routing (§3.3);
 //! - [`remap`]: token-balanced remapping for linear modules (§3.4);
 //! - [`zeppelin`]: the [`scheduler::Scheduler`] tying it all
-//!   together, with per-component ablation toggles;
+//!   together, speed-aware on mixed hardware, with per-component
+//!   ablation toggles;
 //! - [`zones`]: the Fig. 5 cost-curve analysis that motivates the
 //!   local / intra-node / inter-node split;
 //! - [`validate`]: the plan auditor guarding every trust boundary where
@@ -38,7 +39,6 @@
 
 pub mod analysis;
 pub mod chunking;
-pub mod het;
 pub mod partitioner;
 pub mod plan;
 pub mod plan_io;

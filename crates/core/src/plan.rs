@@ -104,8 +104,9 @@ pub struct PlanOptions {
     /// Rebalance tokens across ranks around the linear modules (§3.4).
     pub remapping: bool,
     /// Pick remap targets proportional to rank speeds instead of equal
-    /// shares (requires `remapping`; a no-op when the executor has no speed
-    /// vector). Set by speed-aware schedulers such as `StragglerRemap`.
+    /// shares (requires `remapping`; a no-op when the executor sees
+    /// homogeneous hardware). Zeppelin sets it whenever its context's
+    /// speeds are not uniform.
     pub speed_aware_remap: bool,
 }
 
@@ -172,9 +173,12 @@ impl IterationPlan {
         tokens
     }
 
-    /// Total tokens across all placements (each input token counted once).
+    /// Total tokens across all placements (each input token counted once),
+    /// saturating at `u64::MAX` on hostile lengths.
     pub fn total_tokens(&self) -> u64 {
-        self.placements.iter().map(|p| p.len).sum()
+        self.placements
+            .iter()
+            .fold(0, |sum, p| sum.saturating_add(p.len))
     }
 
     /// Validates structural invariants against a cluster of `total_ranks`.

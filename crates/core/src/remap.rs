@@ -57,12 +57,18 @@ pub fn plan_remap_weighted(cluster: &ClusterSpec, tokens: &[u64], speed: &[f64])
     );
     let total: u64 = tokens.iter().sum();
     let weight_sum: f64 = speed.iter().sum();
-    // Floor-allocate, then hand the remainder to the fastest ranks.
+    // Floor-allocate, then hand the remainder to the fastest ranks. Float
+    // rounding can push a floor one token past its exact share, so no
+    // target may take more than the tokens still unassigned.
+    let mut rest = total;
     let mut targets: Vec<u64> = speed
         .iter()
-        .map(|&w| (total as f64 * w / weight_sum).floor() as u64)
+        .map(|&w| {
+            let t = ((total as f64 * w / weight_sum).floor() as u64).min(rest);
+            rest -= t;
+            t
+        })
         .collect();
-    let mut rest = total - targets.iter().sum::<u64>();
     let mut order: Vec<usize> = (0..speed.len()).collect();
     order.sort_by(|&a, &b| {
         speed[b]

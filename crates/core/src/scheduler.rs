@@ -18,7 +18,7 @@ pub struct SchedulerCtx {
     pub capacity: u64,
     /// Per-rank speed factors for straggler-aware planning (`None` =
     /// homogeneous). Schedulers may ignore this; Zeppelin weights its
-    /// intra-node placement with it.
+    /// placement, ring chunks and remap targets with it.
     pub rank_speed: Option<Vec<f64>>,
 }
 
@@ -26,8 +26,8 @@ impl SchedulerCtx {
     /// Builds a context, deriving capacity from the memory model. On a
     /// mixed-generation cluster (non-empty
     /// [`ClusterSpec::node_tiers`](zeppelin_sim::topology::ClusterSpec))
-    /// the per-node tiers seed `rank_speed`, so every speed-aware scheduler
-    /// sees the heterogeneity without extra plumbing;
+    /// the per-node tiers seed `rank_speed`, so Zeppelin sees the
+    /// heterogeneity without extra plumbing;
     /// [`SchedulerCtx::with_rank_speed`] still overrides (e.g. to stack
     /// straggler degradation on top of generation tiers).
     pub fn new(cluster: &ClusterSpec, model: &ModelConfig) -> SchedulerCtx {

@@ -40,6 +40,11 @@ use crate::scheduler::SchedulerCtx;
 /// placement in the micro-batch (see [`validate`]).
 pub const CAPACITY_SLACK_TOKENS: u64 = 64;
 
+/// Most tokens a plan may place in all: 2^53, the largest integer every
+/// cost formula (they price tokens as `f64`) represents exactly. It also
+/// keeps every per-rank token sum far from `u64` overflow.
+pub const MAX_PLAN_TOKENS: u64 = 1 << 53;
+
 /// Byte volume used to probe routed-transfer consistency; the audit checks
 /// chain shape and conservation, which are volume-independent.
 const ROUTING_PROBE_BYTES: f64 = 1_048_576.0;
@@ -181,6 +186,11 @@ pub enum PlanViolation {
         /// What exactly is broken.
         detail: String,
     },
+    /// The placements' lengths add up to more than [`MAX_PLAN_TOKENS`].
+    TooManyTokens {
+        /// Tokens the placements hold in all (saturating at `u64::MAX`).
+        total: u64,
+    },
     /// The plan's total tokens differ from the source batch's.
     TokenMismatch {
         /// Tokens covered by the plan's placements.
@@ -285,6 +295,10 @@ impl std::fmt::Display for PlanViolation {
                 f,
                 "remap plan for micro-batch {micro_batch} is inconsistent: {detail}"
             ),
+            PlanViolation::TooManyTokens { total } => write!(
+                f,
+                "placements hold {total} tokens in all, over the {MAX_PLAN_TOKENS}-token limit"
+            ),
             PlanViolation::TokenMismatch {
                 plan_tokens,
                 batch_tokens,
@@ -318,6 +332,10 @@ pub fn structural_violations(plan: &IterationPlan) -> Vec<PlanViolation> {
             micro_batches: plan.micro_batches,
             placements: plan.placements.len(),
         });
+    }
+    let total = plan.total_tokens();
+    if total > MAX_PLAN_TOKENS {
+        out.push(PlanViolation::TooManyTokens { total });
     }
     let frac = plan.redundant_attn_frac;
     if !frac.is_finite() {
@@ -877,6 +895,32 @@ mod tests {
         };
         let err = validate(&plan, &ctx()).unwrap_err();
         assert!(!err.is_empty());
+    }
+
+    #[test]
+    fn token_totals_past_the_limit_are_flagged_before_any_sum_overflows() {
+        // A speed-aware plan whose lengths overflow `u64` when summed used
+        // to crash the weighted remap audit.
+        let ctx = ctx().with_rank_speed((0..16).map(|r| if r < 8 { 1.0 } else { 0.5 }).collect());
+        let mut plan = plan_of(vec![
+            placement(0, u64::MAX, vec![0, 1], Zone::IntraNode),
+            placement(1, 500, vec![1], Zone::Local),
+        ]);
+        plan.options.remapping = true;
+        plan.options.speed_aware_remap = true;
+        let err = validate(&plan, &ctx).unwrap_err();
+        assert!(
+            err.contains(&PlanViolation::TooManyTokens { total: u64::MAX }),
+            "{err:?}"
+        );
+        plan.placements[0].len = MAX_PLAN_TOKENS;
+        assert!(
+            structural_violations(&plan).contains(&PlanViolation::TooManyTokens {
+                total: MAX_PLAN_TOKENS + 500
+            })
+        );
+        plan.placements[0].len = MAX_PLAN_TOKENS - 500;
+        assert!(structural_violations(&plan).is_empty());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use zeppelin_model::memory::{hidden_bytes, kv_bytes};
 use zeppelin_sim::engine::{Simulator, Stream, TaskId, TraceInfo};
 use zeppelin_sim::error::SimError;
 use zeppelin_sim::time::SimDuration;
-use zeppelin_sim::topology::Rank;
+use zeppelin_sim::topology::{ClusterSpec, Rank};
 use zeppelin_sim::trace::{TraceCategory, TraceLabel};
 
 /// Pass direction; backward scales FLOPs and communication volume.
@@ -118,13 +118,10 @@ pub struct ExecConfig {
     pub gemm_kernel: KernelModel,
     /// Data-parallel gradient synchronization.
     pub grad_sync: GradSync,
-    /// Per-rank speed factors (straggler modelling): kernel rates multiply
-    /// by `rank_speed[rank]`. Empty means homogeneous (all 1.0).
+    /// Per-rank degradation on top of the cluster's node tiers
+    /// (stragglers, injected GPU faults): a rank's kernels run at
+    /// `tier × rank_speed[rank]` of the GPU's peak. Empty means none.
     pub rank_speed: Vec<f64>,
-    /// Whether the remapping layer may use `rank_speed` to set
-    /// speed-proportional linear-module targets. This models *scheduler
-    /// awareness* of the degradation — `rank_speed` alone is physics.
-    pub speed_aware_remap: bool,
 }
 
 impl Default for ExecConfig {
@@ -139,7 +136,6 @@ impl Default for ExecConfig {
             gemm_kernel: KernelModel::gemm(),
             grad_sync: GradSync::Off,
             rank_speed: Vec::new(),
-            speed_aware_remap: false,
         }
     }
 }
@@ -193,22 +189,24 @@ impl std::fmt::Display for ExecConfigError {
 impl std::error::Error for ExecConfigError {}
 
 impl ExecConfig {
-    /// Validates `rank_speed` against a cluster of `nranks` ranks and
-    /// returns the single normalized speed vector both the kernel-rate and
-    /// remap paths use: `None` for a homogeneous cluster, `Some(v)` with
-    /// exactly one positive finite entry per rank otherwise.
+    /// Validates `rank_speed` against `cluster` and returns the effective
+    /// per-rank speed both the kernel-rate and remap paths use: the
+    /// cluster's node tier times `rank_speed`, or `None` when the cluster
+    /// has no tiers and `rank_speed` is empty.
     ///
     /// # Errors
     ///
-    /// [`ExecConfigError`] when the vector is non-empty with the wrong
+    /// [`ExecConfigError`] when `rank_speed` is non-empty with the wrong
     /// length, or contains a non-finite or non-positive entry.
-    pub fn normalized_rank_speed(
+    pub fn effective_rank_speed(
         &self,
-        nranks: usize,
+        cluster: &ClusterSpec,
     ) -> Result<Option<Vec<f64>>, ExecConfigError> {
+        let tiers = cluster.rank_speeds();
         if self.rank_speed.is_empty() {
-            return Ok(None);
+            return Ok(tiers);
         }
+        let nranks = cluster.total_gpus();
         if self.rank_speed.len() != nranks {
             return Err(ExecConfigError::RankSpeedLength {
                 got: self.rank_speed.len(),
@@ -220,7 +218,10 @@ impl ExecConfig {
                 return Err(ExecConfigError::RankSpeedValue { rank, value });
             }
         }
-        Ok(Some(self.rank_speed.clone()))
+        Ok(Some(match tiers {
+            Some(t) => t.iter().zip(&self.rank_speed).map(|(t, s)| t * s).collect(),
+            None => self.rank_speed.clone(),
+        }))
     }
 }
 
@@ -256,7 +257,7 @@ pub struct LayerOutcome {
 /// Panics if `entry` does not have one slot per cluster rank, the plan
 /// references ranks outside the cluster, or `cfg.rank_speed` is malformed
 /// (validate plans and configs first — see
-/// [`ExecConfig::normalized_rank_speed`]).
+/// [`ExecConfig::effective_rank_speed`]).
 pub fn lower_layer(
     sim: &mut Simulator,
     model: &ModelConfig,
@@ -269,7 +270,7 @@ pub fn lower_layer(
     let nranks = cluster.total_gpus();
     assert_eq!(entry.len(), nranks, "entry must have one slot per rank");
     let speed = cfg
-        .normalized_rank_speed(nranks)
+        .effective_rank_speed(&cluster)
         .unwrap_or_else(|e| panic!("invalid ExecConfig: {e}"));
     let base_peak = cluster.node.gpu.peak_flops;
     let peaks: Vec<f64> = (0..nranks)
@@ -417,11 +418,10 @@ pub fn lower_layer(
         }
 
         // Linear phase, optionally sandwiched by remap / inverse remap.
-        // `rank_speed` alone is physics (slow kernels); speed-proportional
-        // *targets* additionally require scheduler awareness, declared
-        // either in the executor config or by the plan itself.
+        // Rank speeds alone are physics (slow kernels); speed-proportional
+        // *targets* additionally require the plan to declare awareness.
         let attn_tokens = plan.tokens_per_rank(nranks, mb);
-        let aware = cfg.speed_aware_remap || plan.options.speed_aware_remap;
+        let aware = plan.options.speed_aware_remap;
         let remap_plan = if !plan.options.remapping {
             None
         } else {
@@ -1786,12 +1786,14 @@ mod chained_tests {
     #[test]
     fn weighted_remap_engages_with_rank_speed() {
         let cluster = cluster_a(1);
-        let ctx = SchedulerCtx::new(&cluster, &llama_3b());
+        let speed = vec![1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0];
+        // A Zeppelin plan made aware of the slow rank declares
+        // speed-proportional remap targets.
+        let ctx = SchedulerCtx::new(&cluster, &llama_3b()).with_rank_speed(speed.clone());
         // Imbalanced batch so remap triggers.
         let batch = Batch::new(vec![20_000, 600, 500, 400, 300, 200, 100, 10_668]);
         let mut cfg = StepConfig::default();
-        cfg.exec.rank_speed = vec![1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0];
-        cfg.exec.speed_aware_remap = true;
+        cfg.exec.rank_speed = speed;
         let r = simulate_step(&Zeppelin::new(), &batch, &ctx, &cfg).unwrap();
         // The slow rank's linear busy time stays near the others (its
         // token share shrank proportionally).

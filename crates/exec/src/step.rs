@@ -313,7 +313,7 @@ pub fn simulate_plan(
 ) -> Result<StepReport, StepError> {
     let nranks = ctx.cluster.total_gpus();
     plan.validate(nranks)?;
-    cfg.exec.normalized_rank_speed(nranks)?;
+    cfg.exec.effective_rank_speed(&ctx.cluster)?;
     if !cfg.moe_skew.is_finite() {
         return Err(StepError::Exec(ExecConfigError::MoeSkew {
             value: cfg.moe_skew,

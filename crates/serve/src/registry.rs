@@ -70,7 +70,6 @@ mod tests {
         assert_eq!(scheduler_by_name("TE-CP").unwrap().name(), "TE CP");
         assert_eq!(model_by_name("LLAMA-7B").unwrap().name, "LLaMA-7B");
         assert_eq!(cluster_by_name("B", 3).unwrap().nodes, 3);
-        assert_eq!(scheduler_by_name("het").unwrap().name(), "Zeppelin-Het");
         assert!(cluster_by_name("mixed", 3).unwrap().rank_speeds().is_some());
         assert_eq!(
             dataset_by_name("prolong").unwrap().name,
@@ -83,5 +82,9 @@ mod tests {
         assert_eq!(model_by_name("70b").unwrap_err(), "70b");
         assert_eq!(cluster_by_name("z", 1).unwrap_err(), "z");
         assert_eq!(dataset_by_name("wikipedia").unwrap_err(), "wikipedia");
+        // Heterogeneity is a property of the context, not a scheduler name.
+        for folded in ["het", "zeppelin-het", "straggler-remap"] {
+            assert_eq!(scheduler_by_name(folded).map(|_| ()).unwrap_err(), folded);
+        }
     }
 }

@@ -178,7 +178,8 @@ impl ClusterSpec {
     /// Per-rank speed factors implied by the node tiers: `None` on a
     /// homogeneous cluster, otherwise one entry per rank (every rank of a
     /// node shares its tier). This is what seeds
-    /// `SchedulerCtx::rank_speed` for heterogeneity-aware planning.
+    /// `SchedulerCtx::rank_speed` for heterogeneity-aware planning, and
+    /// what the executor multiplies into each rank's kernel rate.
     pub fn rank_speeds(&self) -> Option<Vec<f64>> {
         if self.node_tiers.is_empty() {
             return None;

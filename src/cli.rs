@@ -800,8 +800,7 @@ pub fn usage() -> String {
        --model    3b|7b|13b|30b|moe        (default 3b)\n\
        --cluster  a|b|c|mixed              (default a)\n\
        --nodes    N                        (default 2)\n\
-       --method   zeppelin|zeppelin-het|straggler-remap|te|llama|hybrid|\n\
-                  packing|ulysses|double-ring\n\
+       --method   zeppelin|te|llama|hybrid|packing|ulysses|double-ring\n\
        --dataset  arxiv|github|prolong64k|stackexchange|openwebmath|fineweb\n\
        --tokens   total batch tokens       (default 65536)\n\
        --seqs     comma-separated lengths  (overrides --dataset)\n\
@@ -900,6 +899,25 @@ mod tests {
             run(&opts(&["step", "--nodes", "two"])),
             Err(CliError::BadFlag { .. })
         ));
+        assert!(matches!(
+            run(&opts(&["step", "--method", "zeppelin-het"])),
+            Err(CliError::BadFlag { .. })
+        ));
+    }
+
+    #[test]
+    fn step_on_mixed_tiers_is_slower_than_on_cluster_b() -> Result<(), CliError> {
+        // Cluster M is Cluster B with every third node an A800: the
+        // executor must price its slow tier without any extra flag.
+        let tput = |cluster: &str| -> Result<f64, CliError> {
+            let out = run(&opts(&["step", "--cluster", cluster, "--nodes", "3"]))?;
+            let open = out.find('(').expect("throughput in output");
+            let close = out.find(" tokens/s").expect("throughput in output");
+            Ok(out[open + 1..close].parse().expect("numeric throughput"))
+        };
+        let (mixed, b) = (tput("mixed")?, tput("b")?);
+        assert!(mixed < b, "mixed {mixed} tok/s vs cluster b {b} tok/s");
+        Ok(())
     }
 
     #[test]

@@ -69,8 +69,6 @@ fn layer_times_match_the_pin_on_two_nodes() {
         false,
         &[
             ("zeppelin", 4229565, 7909257),
-            ("zeppelin-het", 4229565, 7909257),
-            ("straggler-remap", 4229565, 7909257),
             ("te", 9693443, 18906883),
             ("llama", 4541758, 8609245),
             ("hybrid", 10598401, 20696801),
@@ -87,9 +85,7 @@ fn layer_times_match_the_pin_on_two_mixed_speed_nodes() {
         2,
         true,
         &[
-            ("zeppelin", 5541359, 10532866),
-            ("zeppelin-het", 5930681, 11417644),
-            ("straggler-remap", 4814552, 9285871),
+            ("zeppelin", 4631027, 8647285),
             ("te", 10832719, 21395435),
             ("llama", 6243827, 12208600),
             ("hybrid", 10598402, 20696801),
@@ -107,8 +103,6 @@ fn layer_times_match_the_pin_on_eight_nodes() {
         false,
         &[
             ("zeppelin", 5391818, 7891568),
-            ("zeppelin-het", 5391818, 7891568),
-            ("straggler-remap", 5391818, 7891568),
             ("te", 10507807, 19095617),
             ("llama", 4653743, 7393530),
             ("hybrid", 10544899, 19349798),
