@@ -14,12 +14,12 @@ use rand::rngs::StdRng;
 use zeppelin_baselines::packing::pack_into_bins_tagged;
 use zeppelin_bench::harness::{paper_rng, paper_testbed};
 use zeppelin_bench::table::Table;
+use zeppelin_core::cost::CostModel;
 use zeppelin_data::batch::sample_batch;
 use zeppelin_data::datasets::{fig1_datasets, paper_datasets};
 use zeppelin_data::distribution::LengthDistribution;
 use zeppelin_data::stats::table2_edges;
 use zeppelin_model::flops::{causal_pairs_full, flops_per_pair};
-use zeppelin_model::kernel::KernelModel;
 use zeppelin_model::memory::kv_bytes;
 
 const RANKS: usize = 16;
@@ -65,8 +65,7 @@ fn packing_analysis(dist: &LengthDistribution, rng: &mut StdRng, edges: &[u64]) 
 /// even-split CP across all 16 ranks.
 fn cp_analysis(dist: &LengthDistribution, rng: &mut StdRng, edges: &[u64]) -> Vec<(f64, f64)> {
     let (cluster, cfg, _) = paper_testbed();
-    let kernel = KernelModel::attention();
-    let peak = cluster.node.gpu.peak_flops;
+    let cost = CostModel::base(&cluster);
     let inter_bw = cluster.direct_internode_bw();
     let nbins = edges.len() - 1;
     let mut compute = vec![0.0f64; nbins];
@@ -77,7 +76,7 @@ fn cp_analysis(dist: &LengthDistribution, rng: &mut StdRng, edges: &[u64]) -> Ve
             let bin = bin_label(edges, len);
             // Whole-sequence attention compute, spread over the group.
             let flops = causal_pairs_full(len) as f64 * flops_per_pair(&cfg);
-            compute[bin] += kernel.kernel_time(flops / RANKS as f64, peak) * RANKS as f64;
+            compute[bin] += cost.base_attention_secs(flops / RANKS as f64) * RANKS as f64;
             // Each rank ships the sequence's full KV once around the ring;
             // the slowest hops are the NIC-limited inter-node crossings.
             comm[bin] += kv_bytes(&cfg, len) / inter_bw * 2.0; // two crossings.

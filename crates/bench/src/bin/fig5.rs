@@ -8,14 +8,13 @@
 
 use zeppelin_bench::harness::paper_testbed;
 use zeppelin_bench::table::Table;
+use zeppelin_core::cost::CostModel;
 use zeppelin_core::zones::{attn_compute_time, kv_transfer_time, zone_thresholds};
 use zeppelin_model::config::{llama_3b, llama_7b, paper_models};
-use zeppelin_model::kernel::KernelModel;
 
 fn main() {
     let (cluster, _, _) = paper_testbed();
-    let kernel = KernelModel::attention();
-    let peak = cluster.node.gpu.peak_flops;
+    let cost = CostModel::base(&cluster);
     let intra_bw = cluster.intranode_bw();
     let inter_bw = cluster.direct_internode_bw();
 
@@ -33,7 +32,7 @@ fn main() {
         let thresholds = zone_thresholds(&cfg, &cluster);
         let mut s = 256u64;
         while s <= 256 * 1024 {
-            let compute = attn_compute_time(&cfg, &kernel, peak, s) * 1e3;
+            let compute = attn_compute_time(&cfg, &cost, s) * 1e3;
             let intra = kv_transfer_time(&cfg, intra_bw, s) * 1e3;
             let inter = kv_transfer_time(&cfg, inter_bw, s) * 1e3;
             table.row(vec![

@@ -37,7 +37,6 @@ use zeppelin_data::batch::Batch;
 use zeppelin_exec::step::StepConfig;
 use zeppelin_exec::{ExecConfig, GradSync, QueueOrder};
 use zeppelin_model::config::{ModelConfig, MoeConfig};
-use zeppelin_model::kernel::KernelModel;
 use zeppelin_sim::fault::FaultEvent;
 use zeppelin_sim::time::{SimDuration, SimTime};
 use zeppelin_sim::topology::{ClusterSpec, GpuSpec, NicSpec, NodeSpec};
@@ -523,17 +522,6 @@ impl Encode for MoeConfig {
     }
 }
 
-impl Encode for KernelModel {
-    fn encode(&self, w: &mut Words) {
-        let KernelModel {
-            launch_overhead_s,
-            max_efficiency,
-        } = self;
-        launch_overhead_s.encode(w);
-        max_efficiency.encode(w);
-    }
-}
-
 impl Encode for ExecConfig {
     fn encode(&self, w: &mut Words) {
         let ExecConfig {
@@ -542,8 +530,6 @@ impl Encode for ExecConfig {
             moe_linear_factor,
             tp_overhead_per_token,
             remap_slack,
-            attention_kernel,
-            gemm_kernel,
             grad_sync,
             rank_speed,
         } = self;
@@ -555,8 +541,6 @@ impl Encode for ExecConfig {
         moe_linear_factor.encode(w);
         tp_overhead_per_token.encode(w);
         remap_slack.encode(w);
-        attention_kernel.encode(w);
-        gemm_kernel.encode(w);
         w.0.push(match grad_sync {
             GradSync::Off => 0,
             GradSync::Overlapped => 1,
@@ -803,9 +787,6 @@ mod tests {
             ("redundant fraction", |l| l.plan.redundant_attn_frac = -0.0),
             ("exec routing pipeline", |l| {
                 l.cfg.exec.routing_pipeline += 1
-            }),
-            ("exec attention kernel", |l| {
-                l.cfg.exec.attention_kernel.max_efficiency *= 0.5;
             }),
             ("exec rank speed", |l| l.cfg.exec.rank_speed = vec![1.0; 16]),
             ("moe skew", |l| l.cfg.moe_skew += 0.25),

@@ -1,9 +1,10 @@
 //! Static plan analysis: per-rank cost and memory estimates without
 //! running the simulator.
 //!
-//! The estimates use the same kernel model and exact causal-pair accounting
-//! as the executor, so for compute they agree with the simulated trace *to
-//! the nanosecond* (asserted by integration tests); communication estimates
+//! The estimates read the executor's cost model ([`crate::cost`]: the same
+//! fused groups, exact causal-pair tables and per-rank peaks, node tiers
+//! included), so for compute they agree with the simulated trace *to the
+//! nanosecond* (asserted by integration tests); communication estimates
 //! are volumes, not times, because contention is the simulator's job. The
 //! analyzer powers the CLI's `explain` output and the partitioner's
 //! regression tests, and gives schedulers a cheap objective to compare
@@ -14,12 +15,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use zeppelin_model::config::ModelConfig;
-use zeppelin_model::flops::attention_seq_flops;
-use zeppelin_model::kernel::KernelModel;
 use zeppelin_model::memory::{activation_bytes_per_token, kv_bytes};
 use zeppelin_sim::topology::ClusterSpec;
 
-use crate::chunking::RingGeometry;
+use crate::cost::{CostModel, Fusion, GroupTable};
 use crate::plan::{AttnMode, IterationPlan, Zone};
 use crate::validate::{cluster_violations, PlanViolation};
 
@@ -28,7 +27,8 @@ use crate::validate::{cluster_violations, PlanViolation};
 pub struct RankEstimate {
     /// Attention FLOPs executed by this rank.
     pub attn_flops: f64,
-    /// Attention kernel seconds (same kernel model as the executor; exact).
+    /// Attention kernel seconds at the rank's tier (same cost model as the
+    /// executor; exact).
     pub attn_secs: f64,
     /// Tokens this rank holds in the attention layout (all micro-batches'
     /// maximum).
@@ -115,13 +115,16 @@ pub fn try_analyze(
 /// The analysis body. Precondition (established by [`try_analyze`]): the
 /// plan passed the cluster audit, so every rank and micro-batch index is in
 /// range and every placement has at least one rank.
+///
+/// Attention is priced from the same [`Fusion`] and per-rank peaks (node
+/// tiers included) the executor lowers, kernel by kernel.
 fn analyze_audited(
     plan: &IterationPlan,
     model: &ModelConfig,
     cluster: &ClusterSpec,
 ) -> PlanAnalysis {
-    let kernel = KernelModel::attention();
-    let peak = cluster.node.gpu.peak_flops;
+    let cost = CostModel::new(cluster, cluster.rank_speeds());
+    let fusion = Fusion::new(plan, model, cluster);
     let nranks = cluster.total_gpus();
     let mut ranks = vec![
         RankEstimate {
@@ -134,134 +137,58 @@ fn analyze_audited(
         nranks
     ];
     let mut mb_tokens: Vec<Vec<u64>> = vec![vec![0; plan.micro_batches]; nranks];
-    // Local sequences fuse into one kernel per (rank, micro-batch), and
-    // multi-rank placements with identical (ranks, mode, speed weights,
-    // micro-batch) fuse into one group execution — exactly as the executor
-    // lowers them, so kernel launch counts (and thus seconds) match.
-    let mut local_flops: Vec<Vec<f64>> = vec![vec![0.0; plan.micro_batches]; nranks];
     let mut zone_counts = (0usize, 0usize, 0usize);
-    type GroupKey = (Vec<usize>, AttnMode, Vec<u32>, usize);
-    let mut groups: std::collections::BTreeMap<GroupKey, Vec<RingGeometry>> =
-        std::collections::BTreeMap::new();
-
     for p in &plan.placements {
         match p.zone {
             Zone::Local => zone_counts.0 += 1,
             Zone::IntraNode => zone_counts.1 += 1,
             Zone::InterNode => zone_counts.2 += 1,
         }
-        let geom = p.geometry();
-        for (pos, &rank) in p.ranks.iter().enumerate() {
-            assert!(rank < nranks, "plan references rank {rank} outside cluster");
-            mb_tokens[rank][p.micro_batch] += geom.tokens(pos);
+        if let [rank] = p.ranks[..] {
+            mb_tokens[rank][p.micro_batch] += p.len;
         }
-        if p.ranks.len() == 1 {
-            local_flops[p.ranks[0]][p.micro_batch] += attention_seq_flops(model, p.len);
-            continue;
-        }
-        groups
-            .entry((p.ranks.clone(), p.mode, p.weights.clone(), p.micro_batch))
-            .or_default()
-            .push(geom);
     }
 
-    for ((group_ranks, mode, _, _), geoms) in &groups {
-        let g = group_ranks.len();
-        match *mode {
-            AttnMode::Ring | AttnMode::DoubleRing => {
-                // Both visit every (query, kv) position pair exactly once;
-                // per-round kernel costs sum identically. Only the sends'
-                // locality differs: a node-major double ring crosses nodes
-                // on (nodes-1) of its (G-1) hops instead of at every ring
-                // boundary.
-                let dr_cross_frac = (*mode == AttnMode::DoubleRing)
-                    .then(|| double_ring_cross_fraction(cluster, group_ranks))
-                    .flatten();
-                for (pos, &rank) in group_ranks.iter().enumerate() {
-                    for round in 0..g {
-                        let flops: f64 =
-                            geoms.iter().map(|s| s.round_flops(model, pos, round)).sum();
-                        ranks[rank].attn_flops += flops;
-                        ranks[rank].attn_secs += kernel.kernel_time(flops, peak);
-                    }
-                    for round in 0..g - 1 {
-                        let bytes: f64 = geoms
-                            .iter()
-                            .map(|s| s.round_kv_bytes(model, pos, round))
-                            .sum();
-                        match dr_cross_frac {
-                            Some(frac) => {
-                                ranks[rank].inter_sent_bytes += bytes * frac;
-                                ranks[rank].intra_sent_bytes += bytes * (1.0 - frac);
-                            }
-                            None => {
-                                let next = group_ranks[(pos + 1) % g];
-                                if cluster.same_node(rank, next) {
-                                    ranks[rank].intra_sent_bytes += bytes;
-                                } else {
-                                    ranks[rank].inter_sent_bytes += bytes;
-                                }
-                            }
-                        }
-                    }
+    for group in &fusion.groups {
+        let g = group.ranks.len();
+        for (pos, &rank) in group.ranks.iter().enumerate() {
+            mb_tokens[rank][group.micro_batch] += group.tokens[pos];
+        }
+        for (pos, flops) in group.kernels() {
+            let rank = group.ranks[pos];
+            ranks[rank].attn_flops += flops;
+            ranks[rank].attn_secs += cost.attention_secs(rank, flops);
+        }
+        let mut account = |from: usize, to: usize, bytes: f64| {
+            if cluster.same_node(from, to) {
+                ranks[from].intra_sent_bytes += bytes;
+            } else {
+                ranks[from].inter_sent_bytes += bytes;
+            }
+        };
+        if let GroupTable::Ulysses { .. } = group.table {
+            // All-to-all: each rank exchanges ~4·shard·h/g per peer,
+            // aggregated here by destination locality.
+            let h_bytes = model.hidden as f64 * model.dtype_bytes as f64;
+            for (pos, &rank) in group.ranks.iter().enumerate() {
+                let bytes = 4.0 * group.tokens[pos] as f64 * h_bytes / g as f64;
+                for &peer in group.ranks.iter().filter(|&&q| q != rank) {
+                    account(rank, peer, bytes);
                 }
             }
-            AttnMode::AllGather => {
-                for (pos, &rank) in group_ranks.iter().enumerate() {
-                    let flops: f64 = geoms.iter().map(|s| s.total_flops(model, pos)).sum();
-                    ranks[rank].attn_flops += flops;
-                    ranks[rank].attn_secs += kernel.kernel_time(flops, peak);
-                    for round in 0..g - 1 {
-                        let bytes: f64 = geoms
-                            .iter()
-                            .map(|s| s.round_kv_bytes(model, pos, round))
-                            .sum();
-                        let next = group_ranks[(pos + 1) % g];
-                        if cluster.same_node(rank, next) {
-                            ranks[rank].intra_sent_bytes += bytes;
-                        } else {
-                            ranks[rank].inter_sent_bytes += bytes;
-                        }
-                    }
-                }
-            }
-            AttnMode::Ulysses => {
-                let per_rank: f64 = geoms
-                    .iter()
-                    .map(|s| attention_seq_flops(model, s.seq_len()))
-                    .sum::<f64>()
-                    / g as f64;
-                for &rank in group_ranks {
-                    ranks[rank].attn_flops += per_rank;
-                    ranks[rank].attn_secs += kernel.kernel_time(per_rank, peak);
-                }
-                // All-to-all: each rank exchanges ~4·shard·h/g per peer,
-                // aggregated here by destination locality.
-                let h_bytes = model.hidden as f64 * model.dtype_bytes as f64;
-                for (pos, &rank) in group_ranks.iter().enumerate() {
-                    let shard: f64 = geoms.iter().map(|s| s.tokens(pos) as f64).sum();
-                    for &peer in group_ranks.iter().filter(|&&q| q != rank) {
-                        let bytes = 4.0 * shard * h_bytes / g as f64;
-                        if cluster.same_node(rank, peer) {
-                            ranks[rank].intra_sent_bytes += bytes;
-                        } else {
-                            ranks[rank].inter_sent_bytes += bytes;
-                        }
-                    }
-                }
+        } else {
+            for (from, to, bytes) in group.kv_sends() {
+                account(group.ranks[from], group.ranks[to], bytes);
             }
         }
     }
 
     // Fold fused local kernels and resident peaks.
+    for (&(_, rank), &flops) in &fusion.locals {
+        ranks[rank].attn_flops += flops;
+        ranks[rank].attn_secs += cost.attention_secs(rank, flops);
+    }
     for rank in 0..nranks {
-        for mb in 0..plan.micro_batches {
-            let flops = local_flops[rank][mb];
-            if flops > 0.0 {
-                ranks[rank].attn_flops += flops;
-                ranks[rank].attn_secs += kernel.kernel_time(flops, peak);
-            }
-        }
         ranks[rank].peak_tokens = mb_tokens[rank].iter().copied().max().unwrap_or(0);
     }
     // All-gather placements hold the gathered KV transiently.
@@ -282,30 +209,6 @@ fn analyze_audited(
         zone_counts,
         attn_critical_secs,
     }
-}
-
-/// Fraction of a double-ring position's sends that cross nodes, when the
-/// group decomposes into equal node-major slices (else `None`: the executor
-/// falls back to a plain ring).
-fn double_ring_cross_fraction(cluster: &ClusterSpec, ranks: &[usize]) -> Option<f64> {
-    let g = ranks.len();
-    let mut node_order: Vec<usize> = Vec::new();
-    for &r in ranks {
-        let node = cluster.node_of(r);
-        if node_order.last() != Some(&node) {
-            node_order.push(node);
-        }
-    }
-    let n = node_order.len();
-    if n <= 1 || !g.is_multiple_of(n) {
-        return None;
-    }
-    let m = g / n;
-    let uniform = ranks
-        .chunks(m)
-        .enumerate()
-        .all(|(a, slice)| slice.iter().all(|&r| cluster.node_of(r) == node_order[a]));
-    uniform.then_some((n - 1) as f64 / (g - 1) as f64)
 }
 
 impl PlanAnalysis {
@@ -335,6 +238,7 @@ mod tests {
     use super::*;
     use crate::plan::{PlanOptions, SeqPlacement};
     use zeppelin_model::config::llama_3b;
+    use zeppelin_model::flops::attention_seq_flops;
     use zeppelin_sim::topology::cluster_a;
 
     fn plan_of(placements: Vec<SeqPlacement>) -> IterationPlan {

@@ -6,6 +6,9 @@
 //! - [`plan`]: the iteration-plan IR shared with every baseline;
 //! - [`chunking`]: zigzag chunk geometry and exact per-round ring costs
 //!   (the attention engine's workload math, §3.2);
+//! - [`cost`]: the one attention cost model — per-rank peaks, group
+//!   fusion and per-group cost tables — shared by the executor, the
+//!   analyzer and the zones;
 //! - [`partitioner`]: hierarchical two-stage sequence partitioning
 //!   (Algorithms 1 and 2, §3.1);
 //! - [`routing`]: three-step multi-NIC communication routing (§3.3);
@@ -39,6 +42,7 @@
 
 pub mod analysis;
 pub mod chunking;
+pub mod cost;
 pub mod partitioner;
 pub mod plan;
 pub mod plan_io;

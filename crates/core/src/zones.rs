@@ -10,10 +10,10 @@
 
 use zeppelin_model::config::ModelConfig;
 use zeppelin_model::flops::attention_seq_flops;
-use zeppelin_model::kernel::KernelModel;
 use zeppelin_model::memory::kv_bytes;
 use zeppelin_sim::topology::ClusterSpec;
 
+use crate::cost::CostModel;
 use crate::plan::Zone;
 
 /// Zone boundaries in tokens: `local` for `s < local_max`, `intra-node` for
@@ -39,9 +39,10 @@ impl ZoneThresholds {
     }
 }
 
-/// Attention compute time of a full causal sequence on one GPU, seconds.
-pub fn attn_compute_time(cfg: &ModelConfig, kernel: &KernelModel, peak: f64, s: u64) -> f64 {
-    kernel.kernel_time(attention_seq_flops(cfg, s), peak)
+/// Attention compute time of a full causal sequence on one GPU at the
+/// base peak, seconds.
+pub fn attn_compute_time(cfg: &ModelConfig, cost: &CostModel, s: u64) -> f64 {
+    cost.base_attention_secs(attention_seq_flops(cfg, s))
 }
 
 /// Send-receive time of the KV activations of `s` tokens, seconds.
@@ -53,13 +54,13 @@ pub fn kv_transfer_time(cfg: &ModelConfig, bw: f64, s: u64) -> f64 {
 ///
 /// Compares *asymptotic rates* (no launch overheads, which affect both
 /// sides comparably and would otherwise dominate at tiny lengths): compute
-/// at `peak · max_efficiency`, transfer at `bw`.
+/// at the base peak's asymptotic attention rate, transfer at `bw`.
 ///
 /// Returns `u64::MAX` if no length up to 16M tokens crosses over (degenerate
 /// parameterizations only).
-pub fn crossover(cfg: &ModelConfig, kernel: &KernelModel, peak: f64, bw: f64) -> u64 {
+pub fn crossover(cfg: &ModelConfig, cost: &CostModel, bw: f64) -> u64 {
     let covered = |s: u64| {
-        attention_seq_flops(cfg, s) / (peak * kernel.max_efficiency) >= kv_bytes(cfg, s) / bw
+        cost.asymptotic_attention_secs(attention_seq_flops(cfg, s)) >= kv_bytes(cfg, s) / bw
     };
     if covered(1) {
         return 1;
@@ -87,24 +88,22 @@ pub fn crossover(cfg: &ModelConfig, kernel: &KernelModel, peak: f64, bw: f64) ->
 /// pays ring-round fixed costs `ov` (kernel + send/recv launches); the
 /// break-even is `s = sqrt(ov · peak · eff / h)`. Below this, bandwidth is
 /// irrelevant — the sequence is simply too small to be worth distributing.
-pub fn overhead_breakeven(cfg: &ModelConfig, kernel: &KernelModel, peak: f64) -> u64 {
-    // One extra kernel launch + two send/recv launch pairs per round.
-    let ov = kernel.launch_overhead_s + 4.0 * zeppelin_model::kernel::COMM_LAUNCH_OVERHEAD_S;
+pub fn overhead_breakeven(cfg: &ModelConfig, cost: &CostModel) -> u64 {
     let h = cfg.hidden as f64;
-    (ov * peak * kernel.max_efficiency / h).sqrt().ceil() as u64
+    (cost.ring_round_breakeven_flops() / h).sqrt().ceil() as u64
 }
 
 /// Computes the Fig. 5 zone thresholds for a model on a cluster.
 ///
 /// `local_max` is the larger of the intra-node bandwidth crossover and the
 /// launch-overhead break-even; `intra_max` is the inter-node bandwidth
-/// crossover.
+/// crossover. Both price compute at the base peak (tier 1.0), so node
+/// tiers never move a plan's zones.
 pub fn zone_thresholds(cfg: &ModelConfig, cluster: &ClusterSpec) -> ZoneThresholds {
-    let kernel = KernelModel::attention();
-    let peak = cluster.node.gpu.peak_flops;
-    let local_max = crossover(cfg, &kernel, peak, cluster.intranode_bw())
-        .max(overhead_breakeven(cfg, &kernel, peak));
-    let intra_max = crossover(cfg, &kernel, peak, cluster.direct_internode_bw()).max(local_max);
+    let cost = CostModel::base(cluster);
+    let local_max =
+        crossover(cfg, &cost, cluster.intranode_bw()).max(overhead_breakeven(cfg, &cost));
+    let intra_max = crossover(cfg, &cost, cluster.direct_internode_bw()).max(local_max);
     ZoneThresholds {
         local_max,
         intra_max,
@@ -115,6 +114,7 @@ pub fn zone_thresholds(cfg: &ModelConfig, cluster: &ClusterSpec) -> ZoneThreshol
 mod tests {
     use super::*;
     use zeppelin_model::config::{llama_3b, llama_7b};
+    use zeppelin_model::kernel::KernelModel;
     use zeppelin_sim::topology::{cluster_a, cluster_c};
 
     #[test]
@@ -163,13 +163,14 @@ mod tests {
     #[test]
     fn crossover_is_a_true_boundary() {
         let cfg = llama_7b();
-        let kernel = KernelModel::attention();
-        let peak = 312e12;
+        let cost = CostModel::base(&cluster_a(1));
         let bw = 25e9;
-        let x = crossover(&cfg, &kernel, peak, bw);
+        let x = crossover(&cfg, &cost, bw);
         assert!(x > 1 && x < u64::MAX);
-        // Boundary property on the asymptotic rates the crossover compares.
-        let compute = |s: u64| attention_seq_flops(&cfg, s) / (peak * kernel.max_efficiency);
+        // Boundary property on the asymptotic rates the crossover compares,
+        // at the A800's 312 TFLOP/s.
+        let rate = 312e12 * KernelModel::attention().max_efficiency;
+        let compute = |s: u64| attention_seq_flops(&cfg, s) / rate;
         let comm = |s: u64| kv_transfer_time(&cfg, bw, s);
         assert!(compute(x) >= comm(x));
         assert!(compute(x - 1) < comm(x - 1));

@@ -22,19 +22,16 @@
 // indexed by position; iterator rewrites would obscure the ring math.
 #![allow(clippy::needless_range_loop)]
 
-use std::collections::BTreeMap;
-
-use zeppelin_core::chunking::RingGeometry;
-use zeppelin_core::plan::{AttnMode, IterationPlan, SeqPlacement, Zone};
+use zeppelin_core::cost::{CostModel, Fusion, Group, GroupTable, RingOrder};
+use zeppelin_core::plan::{IterationPlan, Zone};
 use zeppelin_core::remap::{needs_remap, needs_remap_weighted, plan_remap, plan_remap_weighted};
 use zeppelin_core::routing::route_internode;
 use zeppelin_model::config::ModelConfig;
 use zeppelin_model::flops::{
-    attention_seq_flops, linear_flops_per_token, BACKWARD_COMM_MULTIPLIER,
-    BACKWARD_FLOPS_MULTIPLIER,
+    linear_flops_per_token, BACKWARD_COMM_MULTIPLIER, BACKWARD_FLOPS_MULTIPLIER,
 };
-use zeppelin_model::kernel::{KernelModel, COMM_LAUNCH_OVERHEAD_S};
-use zeppelin_model::memory::{hidden_bytes, kv_bytes};
+use zeppelin_model::kernel::COMM_LAUNCH_OVERHEAD_S;
+use zeppelin_model::memory::hidden_bytes;
 use zeppelin_sim::engine::{Simulator, Stream, TaskId, TraceInfo};
 use zeppelin_sim::error::SimError;
 use zeppelin_sim::time::SimDuration;
@@ -112,10 +109,6 @@ pub struct ExecConfig {
     pub tp_overhead_per_token: f64,
     /// Imbalance slack below which remapping is skipped.
     pub remap_slack: f64,
-    /// Attention kernel timing model.
-    pub attention_kernel: KernelModel,
-    /// Linear-module kernel timing model.
-    pub gemm_kernel: KernelModel,
     /// Data-parallel gradient synchronization.
     pub grad_sync: GradSync,
     /// Per-rank degradation on top of the cluster's node tiers
@@ -132,8 +125,6 @@ impl Default for ExecConfig {
             moe_linear_factor: 1.0,
             tp_overhead_per_token: 0.0,
             remap_slack: 0.02,
-            attention_kernel: KernelModel::attention(),
-            gemm_kernel: KernelModel::gemm(),
             grad_sync: GradSync::Off,
             rank_speed: Vec::new(),
         }
@@ -230,6 +221,10 @@ impl ExecConfig {
 /// queue-segment ordering dependencies).
 type GroupTasks = (Vec<(Rank, TaskId)>, Vec<(Rank, TaskId)>);
 
+/// Per-rank ordering dependencies a group's lowering starts from: the
+/// previous queue segment's compute and communication completions.
+type GroupDeps<'a> = (&'a [Option<TaskId>], &'a [Option<TaskId>]);
+
 /// Task handles produced by lowering one layer.
 #[derive(Debug, Clone, Default)]
 pub struct LayerOutcome {
@@ -269,41 +264,17 @@ pub fn lower_layer(
     let cluster = sim.cluster().clone();
     let nranks = cluster.total_gpus();
     assert_eq!(entry.len(), nranks, "entry must have one slot per rank");
-    let speed = cfg
-        .effective_rank_speed(&cluster)
-        .unwrap_or_else(|e| panic!("invalid ExecConfig: {e}"));
-    let base_peak = cluster.node.gpu.peak_flops;
-    let peaks: Vec<f64> = (0..nranks)
-        .map(|r| base_peak * speed.as_ref().map_or(1.0, |s| s[r]))
-        .collect();
+    let cost = CostModel::new(
+        &cluster,
+        cfg.effective_rank_speed(&cluster)
+            .unwrap_or_else(|e| panic!("invalid ExecConfig: {e}")),
+    );
+    let fusion = Fusion::new(plan, model, &cluster);
 
     let mut out = LayerOutcome::default();
     let mut mb_entry: Vec<Option<TaskId>> = entry.to_vec();
 
     for mb in 0..plan.micro_batches {
-        let placements: Vec<&SeqPlacement> = plan
-            .placements
-            .iter()
-            .filter(|p| p.micro_batch == mb)
-            .collect();
-
-        // Group multi-rank placements by (ranks, mode, speed weights) —
-        // differently-weighted sequences cut different chunk geometry, so
-        // they must not fuse into one ring. Locals by rank.
-        type GroupKey = (Vec<Rank>, AttnMode, Vec<u32>);
-        let mut groups: BTreeMap<GroupKey, Vec<&SeqPlacement>> = BTreeMap::new();
-        let mut locals: Vec<Vec<&SeqPlacement>> = vec![Vec::new(); nranks];
-        for p in &placements {
-            if p.ranks.len() == 1 {
-                locals[p.ranks[0]].push(p);
-            } else {
-                groups
-                    .entry((p.ranks.clone(), p.mode, p.weights.clone()))
-                    .or_default()
-                    .push(p);
-            }
-        }
-
         // Per-rank attention compute ids (for the attention-done barrier)
         // and per-rank queue-segment ordering dependencies. Compute order
         // alone is not enough: NCCL-style comm kernels serialize on each
@@ -330,26 +301,21 @@ pub fn lower_layer(
             let mut seg_sends: Vec<Vec<TaskId>> = vec![Vec::new(); nranks];
 
             // Multi-rank groups in this segment.
-            for ((ranks, mode, _), seqs) in groups
+            for group in fusion
+                .groups
                 .iter()
-                .filter(|(_, v)| select(v.first().expect("non-empty group").zone))
+                .filter(|g| g.micro_batch == mb && select(g.zone))
             {
-                // One geometry per sequence, shared by every round below.
-                let geoms: Vec<RingGeometry> = seqs.iter().map(|p| p.geometry()).collect();
-                let (computes, sends) = match mode {
-                    AttnMode::Ring => lower_ring_group(
-                        sim, model, cfg, dir, plan, ranks, &geoms, &seg_dep, &comm_dep, &mut out,
-                        &peaks,
+                let deps = (&seg_dep[..], &comm_dep[..]);
+                let (computes, sends) = match &group.table {
+                    GroupTable::Ring { order, pair } => lower_ring_group(
+                        sim, cfg, &cost, dir, plan, group, *order, pair, deps, &mut out,
                     )?,
-                    AttnMode::AllGather => lower_allgather_group(
-                        sim, model, cfg, dir, ranks, &geoms, &seg_dep, &comm_dep, &mut out, &peaks,
-                    )?,
-                    AttnMode::Ulysses => lower_ulysses_group(
-                        sim, model, cfg, dir, ranks, &geoms, &seg_dep, &comm_dep, &mut out, &peaks,
-                    )?,
-                    AttnMode::DoubleRing => lower_double_ring_group(
-                        sim, model, cfg, dir, plan, ranks, &geoms, &seg_dep, &comm_dep, &mut out,
-                        &peaks,
+                    GroupTable::AllGather { flops } => {
+                        lower_allgather_group(sim, cfg, &cost, dir, group, flops, deps, &mut out)?
+                    }
+                    GroupTable::Ulysses { flops } => lower_ulysses_group(
+                        sim, model, cfg, &cost, dir, group, *flops, deps, &mut out,
                     )?,
                 };
                 for (rank, id) in computes {
@@ -364,18 +330,9 @@ pub fn lower_layer(
 
             // Local placements in this segment.
             if select(Zone::Local) {
-                for (rank, seqs) in locals.iter().enumerate() {
-                    if seqs.is_empty() {
-                        continue;
-                    }
-                    let flops: f64 = seqs
-                        .iter()
-                        .map(|p| attention_seq_flops(model, p.len))
-                        .sum::<f64>()
-                        * dir.flops_scale();
-                    let dur = SimDuration::from_secs_f64(
-                        cfg.attention_kernel.kernel_time(flops, peaks[rank]),
-                    );
+                for (&(_, rank), &flops) in fusion.locals.range((mb, 0)..=(mb, usize::MAX)) {
+                    let flops = flops * dir.flops_scale();
+                    let dur = SimDuration::from_secs_f64(cost.attention_secs(rank, flops));
                     let deps = seg_dep[rank].into_iter().collect();
                     let id = sim.compute(
                         rank,
@@ -425,7 +382,7 @@ pub fn lower_layer(
         let remap_plan = if !plan.options.remapping {
             None
         } else {
-            match speed.as_ref().filter(|_| aware) {
+            match cost.speeds().filter(|_| aware) {
                 Some(s) => needs_remap_weighted(&attn_tokens, s, cfg.remap_slack)
                     .then(|| plan_remap_weighted(&cluster, &attn_tokens, s)),
                 None => needs_remap(&attn_tokens, cfg.remap_slack)
@@ -475,7 +432,7 @@ pub fn lower_layer(
                 * linear_flops_per_token(model)
                 * dir.flops_scale()
                 * cfg.moe_linear_factor;
-            let secs = cfg.gemm_kernel.kernel_time(flops, peaks[rank])
+            let secs = cost.gemm_secs(rank, flops)
                 + cfg.tp_overhead_per_token * tokens as f64 * dir.flops_scale();
             let mut deps = vec![attn_done[rank]];
             deps.extend(inbound[rank].iter().copied());
@@ -602,24 +559,32 @@ pub fn lower_layer(
     Ok(out)
 }
 
-/// Lowers one fused ring-attention group; returns its compute tasks and
-/// its per-sender transfer completions.
+/// Lowers one fused ring-attention group, plain or node-major double ring
+/// (LoongTrain-style: KV rotates within the node for `m` steps, then the
+/// whole window hops to the next node — one cross-node hop per rank per
+/// node visited, all NICs at once, instead of per-round boundary
+/// crossings). Returns its compute tasks and its per-sender transfer
+/// completions.
 #[allow(clippy::too_many_arguments)]
 fn lower_ring_group(
     sim: &mut Simulator,
-    model: &ModelConfig,
     cfg: &ExecConfig,
+    cost: &CostModel,
     dir: Direction,
     plan: &IterationPlan,
-    ranks: &[Rank],
-    seqs: &[RingGeometry],
-    seg_dep: &[Option<TaskId>],
-    comm_dep: &[Option<TaskId>],
+    group: &Group,
+    order: RingOrder,
+    pair: &[f64],
+    (seg_dep, comm_dep): GroupDeps,
     out: &mut LayerOutcome,
-    peaks: &[f64],
 ) -> Result<GroupTasks, SimError> {
     let cluster = sim.cluster().clone();
+    let ranks = &group.ranks;
     let g = ranks.len();
+    let (round_tag, kv_label, kv_tag) = match order {
+        RingOrder::Plain { .. } => ("r", "kv", "r"),
+        RingOrder::NodeMajor { .. } => ("dr", "dr-kv", "t"),
+    };
     let mut computes: Vec<(Rank, TaskId)> = Vec::new();
     let mut sends: Vec<(Rank, TaskId)> = Vec::new();
     // Per-position previous-round compute and inbound transfer.
@@ -630,10 +595,8 @@ fn lower_ring_group(
         // Compute round r on every position.
         let mut this_compute: Vec<TaskId> = Vec::with_capacity(g);
         for (p, &rank) in ranks.iter().enumerate() {
-            let flops: f64 =
-                seqs.iter().map(|s| s.round_flops(model, p, r)).sum::<f64>() * dir.flops_scale();
-            let dur =
-                SimDuration::from_secs_f64(cfg.attention_kernel.kernel_time(flops, peaks[rank]));
+            let flops = pair[p * g + order.source(p, r)] * dir.flops_scale();
+            let dur = SimDuration::from_secs_f64(cost.attention_secs(rank, flops));
             let mut deps: Vec<TaskId> = Vec::new();
             if r == 0 {
                 deps.extend(seg_dep[rank]);
@@ -650,7 +613,7 @@ fn lower_ring_group(
                     rank,
                     category: TraceCategory::AttentionCompute,
                     label: TraceLabel::new("attn")
-                        .with_round("r", r)
+                        .with_round(round_tag, r)
                         .with_tail(dir.label()),
                 }),
             )?;
@@ -663,13 +626,9 @@ fn lower_ring_group(
         if r + 1 < g {
             let mut new_arrive: Vec<Option<TaskId>> = vec![None; g];
             for (p, &src) in ranks.iter().enumerate() {
-                let next = (p + 1) % g;
+                let next = order.next(p, r);
                 let dst = ranks[next];
-                let bytes: f64 = seqs
-                    .iter()
-                    .map(|s| s.round_kv_bytes(model, p, r))
-                    .sum::<f64>()
-                    * dir.comm_scale();
+                let bytes = group.kv[order.source(p, r)] * dir.comm_scale();
                 // Send-recv semantics: both endpoints must post their
                 // kernel before data moves. Round-0 launches queue behind
                 // the previous queue segment's communication on each side.
@@ -683,37 +642,13 @@ fn lower_ring_group(
                     recv_deps.extend(arrive[next]); // Receiver's stream free.
                     recv_deps.extend(prev_compute[next]); // Receive buffer free.
                 }
-                let send_launch = sim.compute(
-                    src,
-                    Stream::Comm(0),
-                    SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                    send_deps,
-                    None,
-                )?;
-                let recv_launch = sim.compute(
-                    dst,
-                    Stream::Comm(0),
-                    SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                    recv_deps,
-                    None,
-                )?;
-                let launch = sim.marker(vec![send_launch, recv_launch])?;
-                let completion = if !cluster.same_node(src, dst) && plan.options.routing {
-                    lower_routed_transfer(sim, &cluster, cfg, src, dst, bytes, launch, out)?
-                } else {
-                    let flow = sim.transfer(
-                        bytes,
-                        cluster.direct_path(src, dst),
-                        vec![launch],
-                        Some(TraceInfo {
-                            rank: src,
-                            category: TraceCategory::RingComm,
-                            label: TraceLabel::new("kv").with_round("r", r).with_edge(src, dst),
-                        }),
-                    )?;
-                    out.comm_tasks.push(flow);
-                    flow
-                };
+                let launch = lower_send_recv_launch(sim, src, dst, send_deps, recv_deps)?;
+                let label = TraceLabel::new(kv_label)
+                    .with_round(kv_tag, r)
+                    .with_edge(src, dst);
+                let hop = (src, dst, bytes, launch);
+                let routing = plan.options.routing;
+                let completion = lower_hop(sim, &cluster, cfg, hop, routing, label, out)?;
                 new_arrive[next] = Some(completion);
                 sends.push((src, completion));
                 sends.push((dst, completion));
@@ -725,12 +660,59 @@ fn lower_ring_group(
     Ok((computes, sends))
 }
 
+/// Moves `bytes` of attention traffic from `src` to `dst` once `launch`
+/// completes: over the routed multi-NIC stages when `route` is set and
+/// the hop crosses nodes, else as one direct flow traced as `label`.
+/// Returns the completion.
+fn lower_hop(
+    sim: &mut Simulator,
+    cluster: &ClusterSpec,
+    cfg: &ExecConfig,
+    (src, dst, bytes, launch): (Rank, Rank, f64, TaskId),
+    route: bool,
+    label: TraceLabel,
+    out: &mut LayerOutcome,
+) -> Result<TaskId, SimError> {
+    if route && !cluster.same_node(src, dst) {
+        return lower_routed_transfer(sim, cluster, cfg, src, dst, bytes, launch, out);
+    }
+    let info = TraceInfo {
+        rank: src,
+        category: TraceCategory::RingComm,
+        label,
+    };
+    let flow = sim.transfer(
+        bytes,
+        cluster.direct_path(src, dst),
+        vec![launch],
+        Some(info),
+    )?;
+    out.comm_tasks.push(flow);
+    Ok(flow)
+}
+
+/// Posts a send kernel on `src` and a receive kernel on `dst` (each one
+/// launch overhead on its communication stream); returns the marker both
+/// complete, after which data moves.
+fn lower_send_recv_launch(
+    sim: &mut Simulator,
+    src: Rank,
+    dst: Rank,
+    send_deps: Vec<TaskId>,
+    recv_deps: Vec<TaskId>,
+) -> Result<TaskId, SimError> {
+    let launch_time = SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S);
+    let send_launch = sim.compute(src, Stream::Comm(0), launch_time, send_deps, None)?;
+    let recv_launch = sim.compute(dst, Stream::Comm(0), launch_time, recv_deps, None)?;
+    sim.marker(vec![send_launch, recv_launch])
+}
+
 /// Lowers a routed inter-node transfer (three pipelined stages); returns a
 /// marker that completes when all data has been combined at `dst`.
 #[allow(clippy::too_many_arguments)]
 fn lower_routed_transfer(
     sim: &mut Simulator,
-    cluster: &zeppelin_sim::topology::ClusterSpec,
+    cluster: &ClusterSpec,
     cfg: &ExecConfig,
     src: Rank,
     dst: Rank,
@@ -815,18 +797,18 @@ fn lower_routed_transfer(
 #[allow(clippy::too_many_arguments)]
 fn lower_allgather_group(
     sim: &mut Simulator,
-    model: &ModelConfig,
     cfg: &ExecConfig,
+    cost: &CostModel,
     dir: Direction,
-    ranks: &[Rank],
-    seqs: &[RingGeometry],
-    seg_dep: &[Option<TaskId>],
-    comm_dep: &[Option<TaskId>],
+    group: &Group,
+    flops: &[f64],
+    (seg_dep, comm_dep): GroupDeps,
     out: &mut LayerOutcome,
-    peaks: &[f64],
 ) -> Result<GroupTasks, SimError> {
     let cluster = sim.cluster().clone();
+    let ranks = &group.ranks;
     let g = ranks.len();
+    let order = RingOrder::Plain { g };
     // Ring all-gather: g-1 rounds; each position forwards the chunk that
     // arrived last round. Track per-position inbound transfers.
     let mut arrive: Vec<Option<TaskId>> = vec![None; g];
@@ -835,13 +817,9 @@ fn lower_allgather_group(
     for r in 0..g.saturating_sub(1) {
         let mut new_arrive: Vec<Option<TaskId>> = vec![None; g];
         for (p, &src) in ranks.iter().enumerate() {
-            let next = (p + 1) % g;
+            let next = order.next(p, r);
             let dst = ranks[next];
-            let bytes: f64 = seqs
-                .iter()
-                .map(|s| s.round_kv_bytes(model, p, r))
-                .sum::<f64>()
-                * dir.comm_scale();
+            let bytes = group.kv[order.source(p, r)] * dir.comm_scale();
             let mut send_deps: Vec<TaskId> = Vec::new();
             let mut recv_deps: Vec<TaskId> = Vec::new();
             if r == 0 {
@@ -851,42 +829,15 @@ fn lower_allgather_group(
                 send_deps.extend(arrive[p]);
                 recv_deps.extend(arrive[next]);
             }
-            let send_launch = sim.compute(
-                src,
-                Stream::Comm(0),
-                SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                send_deps,
-                None,
-            )?;
-            let recv_launch = sim.compute(
-                dst,
-                Stream::Comm(0),
-                SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                recv_deps,
-                None,
-            )?;
-            let launch = sim.marker(vec![send_launch, recv_launch])?;
+            let launch = lower_send_recv_launch(sim, src, dst, send_deps, recv_deps)?;
             // NCCL all-gathers are multi-channel: cross-node hops stripe
             // over every NIC of the node (this is library behaviour, not
             // Zeppelin's routing layer — hence unconditional here).
-            let flow = if !cluster.same_node(src, dst) {
-                lower_routed_transfer(sim, &cluster, cfg, src, dst, bytes, launch, out)?
-            } else {
-                let f = sim.transfer(
-                    bytes,
-                    cluster.direct_path(src, dst),
-                    vec![launch],
-                    Some(TraceInfo {
-                        rank: src,
-                        category: TraceCategory::RingComm,
-                        label: TraceLabel::new("allgather")
-                            .with_round("r", r)
-                            .with_edge(src, dst),
-                    }),
-                )?;
-                out.comm_tasks.push(f);
-                f
-            };
+            let label = TraceLabel::new("allgather")
+                .with_round("r", r)
+                .with_edge(src, dst);
+            let hop = (src, dst, bytes, launch);
+            let flow = lower_hop(sim, &cluster, cfg, hop, true, label, out)?;
             new_arrive[next] = Some(flow);
             inbound[next].push(flow);
             sends.push((src, flow));
@@ -898,9 +849,8 @@ fn lower_allgather_group(
     // One local attention kernel per rank over the fully gathered KV.
     let mut computes = Vec::with_capacity(g);
     for (p, &rank) in ranks.iter().enumerate() {
-        let flops: f64 =
-            seqs.iter().map(|s| s.total_flops(model, p)).sum::<f64>() * dir.flops_scale();
-        let dur = SimDuration::from_secs_f64(cfg.attention_kernel.kernel_time(flops, peaks[rank]));
+        let dur =
+            SimDuration::from_secs_f64(cost.attention_secs(rank, flops[p] * dir.flops_scale()));
         let mut deps: Vec<TaskId> = inbound[p].clone();
         deps.extend(seg_dep[rank]);
         let id = sim.compute(
@@ -928,20 +878,18 @@ fn lower_ulysses_group(
     sim: &mut Simulator,
     model: &ModelConfig,
     cfg: &ExecConfig,
+    cost: &CostModel,
     dir: Direction,
-    ranks: &[Rank],
-    seqs: &[RingGeometry],
-    seg_dep: &[Option<TaskId>],
-    comm_dep: &[Option<TaskId>],
+    group: &Group,
+    flops: f64,
+    (seg_dep, comm_dep): GroupDeps,
     out: &mut LayerOutcome,
-    peaks: &[f64],
 ) -> Result<GroupTasks, SimError> {
     let cluster = sim.cluster().clone();
+    let ranks = &group.ranks;
     let g = ranks.len();
     let h_bytes = model.hidden as f64 * model.dtype_bytes as f64;
-    let shard_tokens: Vec<u64> = (0..g)
-        .map(|p| seqs.iter().map(|s| s.tokens(p)).sum())
-        .collect();
+    let shard_tokens = &group.tokens;
     let mut sends: Vec<(Rank, TaskId)> = Vec::new();
 
     // All-to-all #1: QKV from sequence-sharded to head-sharded layout.
@@ -962,32 +910,10 @@ fn lower_ulysses_group(
                 let mut send_deps: Vec<TaskId> = comm_dep[src].into_iter().collect();
                 send_deps.extend(gate(p));
                 let recv_deps: Vec<TaskId> = comm_dep[dst].into_iter().collect();
-                let send_launch = sim.compute(
-                    src,
-                    Stream::Comm(0),
-                    SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                    send_deps,
-                    None,
-                )?;
-                let recv_launch = sim.compute(
-                    dst,
-                    Stream::Comm(0),
-                    SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                    recv_deps,
-                    None,
-                )?;
-                let launch = sim.marker(vec![send_launch, recv_launch])?;
-                let flow = sim.transfer(
-                    per_pair_bytes(p),
-                    cluster.direct_path(src, dst),
-                    vec![launch],
-                    Some(TraceInfo {
-                        rank: src,
-                        category: TraceCategory::RingComm,
-                        label: TraceLabel::new(label).with_edge(src, dst),
-                    }),
-                )?;
-                out.comm_tasks.push(flow);
+                let launch = lower_send_recv_launch(sim, src, dst, send_deps, recv_deps)?;
+                let hop = (src, dst, per_pair_bytes(p), launch);
+                let label = TraceLabel::new(label).with_edge(src, dst);
+                let flow = lower_hop(sim, &cluster, cfg, hop, false, label, out)?;
                 inbound[q].push(flow);
                 sends.push((src, flow));
                 sends.push((dst, flow));
@@ -1001,15 +927,10 @@ fn lower_ulysses_group(
 
     // Head-parallel attention: each rank computes the full causal pattern
     // for heads/G heads — perfectly balanced by construction.
+    let flops = flops * dir.flops_scale();
     let mut compute_ids: Vec<TaskId> = Vec::with_capacity(g);
     for (p, &rank) in ranks.iter().enumerate() {
-        let flops: f64 = seqs
-            .iter()
-            .map(|s| attention_seq_flops(model, s.seq_len()))
-            .sum::<f64>()
-            / g as f64
-            * dir.flops_scale();
-        let dur = SimDuration::from_secs_f64(cfg.attention_kernel.kernel_time(flops, peaks[rank]));
+        let dur = SimDuration::from_secs_f64(cost.attention_secs(rank, flops));
         let mut deps: Vec<TaskId> = inbound1[p].clone();
         deps.extend(seg_dep[rank]);
         let id = sim.compute(
@@ -1055,172 +976,10 @@ fn lower_ulysses_group(
     Ok((computes, sends))
 }
 
-/// Lowers one fused LoongTrain-style double-ring group. Positions are
-/// grouped node-major into inner rings of size `m`; KV rotates within the
-/// node for `m` steps, then the whole window hops to the next node — one
-/// cross-node hop per rank per node visited, performed by all ranks in
-/// parallel (every NIC active), instead of per-round boundary crossings.
-///
-/// Falls back to the plain ring when the group does not decompose into
-/// equal node-major slices.
-#[allow(clippy::too_many_arguments)]
-fn lower_double_ring_group(
-    sim: &mut Simulator,
-    model: &ModelConfig,
-    cfg: &ExecConfig,
-    dir: Direction,
-    plan: &IterationPlan,
-    ranks: &[Rank],
-    seqs: &[RingGeometry],
-    seg_dep: &[Option<TaskId>],
-    comm_dep: &[Option<TaskId>],
-    out: &mut LayerOutcome,
-    peaks: &[f64],
-) -> Result<GroupTasks, SimError> {
-    let cluster = sim.cluster().clone();
-    let g = ranks.len();
-    // Node-major decomposition check.
-    let mut node_order: Vec<usize> = Vec::new();
-    for &r in ranks {
-        let node = cluster.node_of(r);
-        if node_order.last() != Some(&node) {
-            node_order.push(node);
-        }
-    }
-    let n = node_order.len();
-    let uniform = n > 1 && g.is_multiple_of(n) && {
-        let m = g / n;
-        ranks
-            .chunks(m)
-            .enumerate()
-            .all(|(a, slice)| slice.iter().all(|&r| cluster.node_of(r) == node_order[a]))
-    };
-    if !uniform {
-        return lower_ring_group(
-            sim, model, cfg, dir, plan, ranks, seqs, seg_dep, comm_dep, out, peaks,
-        );
-    }
-    let m = g / n;
-    // KV source position of `p = a·m + b` at step `t = o·m + i`.
-    let source = |p: usize, t: usize| -> usize {
-        let (a, b) = (p / m, p % m);
-        let (o, i) = (t / m, t % m);
-        ((a + n - o % n) % n) * m + (b + m - i % m) % m
-    };
-    let mut computes: Vec<(Rank, TaskId)> = Vec::new();
-    let mut sends: Vec<(Rank, TaskId)> = Vec::new();
-    let mut prev_compute: Vec<Option<TaskId>> = vec![None; g];
-    let mut arrive: Vec<Option<TaskId>> = vec![None; g];
-
-    for t in 0..g {
-        let mut this_compute: Vec<TaskId> = Vec::with_capacity(g);
-        for (p, &rank) in ranks.iter().enumerate() {
-            let src = source(p, t);
-            let flops: f64 = seqs
-                .iter()
-                .map(|s| s.pair_flops(model, p, src))
-                .sum::<f64>()
-                * dir.flops_scale();
-            let dur =
-                SimDuration::from_secs_f64(cfg.attention_kernel.kernel_time(flops, peaks[rank]));
-            let mut deps: Vec<TaskId> = Vec::new();
-            if t == 0 {
-                deps.extend(seg_dep[rank]);
-            } else {
-                deps.extend(arrive[p]);
-                deps.extend(prev_compute[p]);
-            }
-            let id = sim.compute(
-                rank,
-                Stream::Compute,
-                dur,
-                deps,
-                Some(TraceInfo {
-                    rank,
-                    category: TraceCategory::AttentionCompute,
-                    label: TraceLabel::new("attn")
-                        .with_round("dr", t)
-                        .with_tail(dir.label()),
-                }),
-            )?;
-            this_compute.push(id);
-            computes.push((rank, id));
-        }
-
-        if t + 1 < g {
-            let inner_step = (t + 1) % m != 0; // Next step stays in-node?
-            let mut new_arrive: Vec<Option<TaskId>> = vec![None; g];
-            for (p, &src_rank) in ranks.iter().enumerate() {
-                let (a, b) = (p / m, p % m);
-                let dst_pos = if inner_step {
-                    a * m + (b + 1) % m
-                } else {
-                    ((a + 1) % n) * m + (b + 1) % m
-                };
-                let dst = ranks[dst_pos];
-                let bytes: f64 = seqs
-                    .iter()
-                    .map(|s| kv_bytes(model, s.tokens(source(p, t))))
-                    .sum::<f64>()
-                    * dir.comm_scale();
-                let mut send_deps: Vec<TaskId> = Vec::new();
-                let mut recv_deps: Vec<TaskId> = Vec::new();
-                if t == 0 {
-                    send_deps.extend(comm_dep[src_rank]);
-                    recv_deps.extend(comm_dep[dst]);
-                } else {
-                    send_deps.extend(arrive[p]);
-                    recv_deps.extend(arrive[dst_pos]);
-                    recv_deps.extend(prev_compute[dst_pos]);
-                }
-                let send_launch = sim.compute(
-                    src_rank,
-                    Stream::Comm(0),
-                    SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                    send_deps,
-                    None,
-                )?;
-                let recv_launch = sim.compute(
-                    dst,
-                    Stream::Comm(0),
-                    SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                    recv_deps,
-                    None,
-                )?;
-                let launch = sim.marker(vec![send_launch, recv_launch])?;
-                let completion = if !cluster.same_node(src_rank, dst) && plan.options.routing {
-                    lower_routed_transfer(sim, &cluster, cfg, src_rank, dst, bytes, launch, out)?
-                } else {
-                    let flow = sim.transfer(
-                        bytes,
-                        cluster.direct_path(src_rank, dst),
-                        vec![launch],
-                        Some(TraceInfo {
-                            rank: src_rank,
-                            category: TraceCategory::RingComm,
-                            label: TraceLabel::new("dr-kv")
-                                .with_round("t", t)
-                                .with_edge(src_rank, dst),
-                        }),
-                    )?;
-                    out.comm_tasks.push(flow);
-                    flow
-                };
-                new_arrive[dst_pos] = Some(completion);
-                sends.push((src_rank, completion));
-                sends.push((dst, completion));
-            }
-            arrive = new_arrive;
-        }
-        prev_compute = this_compute.into_iter().map(Some).collect();
-    }
-    Ok((computes, sends))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zeppelin_core::plan::{IterationPlan, PlanOptions};
+    use zeppelin_core::plan::{AttnMode, IterationPlan, PlanOptions, SeqPlacement};
     use zeppelin_model::config::llama_3b;
     use zeppelin_sim::topology::{cluster_a, tiny_cluster};
 

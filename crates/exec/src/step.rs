@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 
+use zeppelin_core::cost::CostModel;
 use zeppelin_core::plan::{IterationPlan, PlanError};
 use zeppelin_core::scheduler::{Scheduler, SchedulerCtx};
 use zeppelin_core::validate::{report as violation_report, validate_with_batch, PlanViolation};
@@ -227,19 +228,17 @@ pub fn moe_linear_factor(model: &ModelConfig, tokens: u64, seed: u64, skew: f64)
 /// Simulated duration of the ZeRO-1 optimizer phase: a sharded Adam update
 /// (memory-bound, ~10 reads/writes per parameter) followed by a ring
 /// all-gather of the updated bf16 weights across the whole DP group.
-fn zero_optimizer_time(ctx: &SchedulerCtx) -> Result<SimDuration, StepError> {
+fn zero_optimizer_time(ctx: &SchedulerCtx, cost: &CostModel) -> Result<SimDuration, StepError> {
     let nranks = ctx.cluster.total_gpus();
     let params = ctx.model.param_count() as f64;
     let mut sim = Simulator::new(&ctx.cluster);
     // Shard update: ~10 bytes-ish ops per parameter at HBM speed folded
-    // into a FLOP-equivalent kernel; coarse but identical across methods.
+    // into a FLOP-equivalent kernel on each rank's effective peak; coarse
+    // but identical across methods.
     let update_flops = params / nranks as f64 * 10.0;
-    let kernel = zeppelin_model::kernel::KernelModel::gemm();
     let mut updates = Vec::with_capacity(nranks);
     for rank in 0..nranks {
-        let dur = SimDuration::from_secs_f64(
-            kernel.kernel_time(update_flops, ctx.cluster.node.gpu.peak_flops),
-        );
+        let dur = SimDuration::from_secs_f64(cost.gemm_secs(rank, update_flops));
         updates.push(Some(sim.compute(
             rank,
             zeppelin_sim::engine::Stream::Compute,
@@ -313,7 +312,7 @@ pub fn simulate_plan(
 ) -> Result<StepReport, StepError> {
     let nranks = ctx.cluster.total_gpus();
     plan.validate(nranks)?;
-    cfg.exec.effective_rank_speed(&ctx.cluster)?;
+    let cost = CostModel::new(&ctx.cluster, cfg.exec.effective_rank_speed(&ctx.cluster)?);
     if !cfg.moe_skew.is_finite() {
         return Err(StepError::Exec(ExecConfigError::MoeSkew {
             value: cfg.moe_skew,
@@ -384,7 +383,7 @@ pub fn simulate_plan(
     let per_layer = layer_forward.saturating_add(layer_backward);
     let mut step_ns = per_layer.as_nanos().saturating_mul(layers);
     if cfg.zero_optimizer {
-        step_ns = step_ns.saturating_add(zero_optimizer_time(ctx)?.as_nanos());
+        step_ns = step_ns.saturating_add(zero_optimizer_time(ctx, &cost)?.as_nanos());
     }
     let step_time = SimDuration::from_nanos(step_ns);
     let tokens = batch.total_tokens();
@@ -538,26 +537,35 @@ mod zero_tests {
     use zeppelin_core::zeppelin::Zeppelin;
     use zeppelin_data::batch::Batch;
     use zeppelin_model::config::{llama_3b, llama_7b};
-    use zeppelin_sim::topology::cluster_a;
+    use zeppelin_sim::topology::{cluster_a, cluster_b, cluster_mixed, ClusterSpec};
 
     #[test]
     fn zero_optimizer_adds_a_fixed_per_step_cost() {
-        let cluster = cluster_a(2);
-        let ctx = SchedulerCtx::new(&cluster, &llama_3b());
         let batch = Batch::new(vec![8_000, 4_000, 2_000, 1_000]);
-        let run = |zero| {
-            let cfg = StepConfig {
-                zero_optimizer: zero,
-                ..StepConfig::default()
+        // The ZeRO phase's extra step time on `cluster`.
+        let zero_cost = |cluster: &ClusterSpec| {
+            let ctx = SchedulerCtx::new(cluster, &llama_3b());
+            let run = |zero| {
+                let cfg = StepConfig {
+                    zero_optimizer: zero,
+                    ..StepConfig::default()
+                };
+                simulate_step(&Zeppelin::new(), &batch, &ctx, &cfg).unwrap()
             };
-            simulate_step(&Zeppelin::new(), &batch, &ctx, &cfg).unwrap()
+            let off = run(false);
+            let on = run(true);
+            assert!(on.step_time > off.step_time);
+            // Layer times are untouched; only the step total grows.
+            assert_eq!(on.layer_forward, off.layer_forward);
+            assert_eq!(on.layer_backward, off.layer_backward);
+            on.step_time.as_nanos() - off.step_time.as_nanos()
         };
-        let off = run(false);
-        let on = run(true);
-        assert!(on.step_time > off.step_time);
-        // Layer times are untouched; only the step total grows.
-        assert_eq!(on.layer_forward, off.layer_forward);
-        assert_eq!(on.layer_backward, off.layer_backward);
+        zero_cost(&cluster_a(2));
+        // Mixed tiers share Cluster B's fabric and base GPU, but the A800
+        // node's shard updates run at its tier, which stretches the phase.
+        let mixed = zero_cost(&cluster_mixed(3));
+        let b = zero_cost(&cluster_b(3));
+        assert!(mixed > b, "mixed-tier ZeRO {mixed} ns vs Cluster B {b} ns");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Cross-checks `zeppelin-core`'s static analyzer against the executor:
-//! the analyzer's per-rank attention seconds use the same kernel model and
-//! the same exact pair accounting as the lowered DAG, so the simulated
-//! attention busy time must match to the nanosecond (modulo the executor's
-//! `SimDuration` round-up per kernel).
+//! both price attention through `zeppelin_core::cost` (the same fused
+//! groups, kernel model and per-rank peaks, node tiers included), so the
+//! simulated attention busy time must match to the nanosecond (modulo the
+//! executor's `SimDuration` round-up per kernel).
 //!
 //! Honors `PROPTEST_CASES` like the other property suites; CI runs this
 //! file in the deep sweep.
@@ -22,18 +22,19 @@ use zeppelin::data::batch::{sample_batch, Batch};
 use zeppelin::data::datasets::github;
 use zeppelin::exec::step::{simulate_plan, StepConfig};
 use zeppelin::model::config::llama_3b;
-use zeppelin::sim::topology::cluster_a;
+use zeppelin::sim::topology::{cluster_a, cluster_mixed, ClusterSpec};
 
-fn check(scheduler: &dyn Scheduler, batch: &Batch) {
-    let ctx = SchedulerCtx::new(&cluster_a(2), &llama_3b());
+fn check(cluster: &ClusterSpec, scheduler: &dyn Scheduler, batch: &Batch) {
+    let ctx = SchedulerCtx::new(cluster, &llama_3b());
     let plan = scheduler.plan(batch, &ctx).expect("plan");
     check_plan(&plan, batch, &ctx, &StepConfig::default());
 }
 
-/// Analyzes and simulates `plan` in `ctx`. A `ctx.rank_speed` reaches only
-/// the scheduler: the executor's physics stay homogeneous, so declared
-/// plan weights are the one input the analyzer and the executor must both
-/// honor.
+/// Analyzes and simulates `plan` in `ctx`. Both sides run every rank at
+/// its node tier; a `ctx.rank_speed` beyond the tiers reaches only the
+/// scheduler (the executor adds only `ExecConfig::rank_speed`, left empty
+/// here), so declared plan weights and node tiers are the inputs the
+/// analyzer and the executor must both honor.
 fn check_plan(plan: &IterationPlan, batch: &Batch, ctx: &SchedulerCtx, cfg: &StepConfig) {
     let (cluster, model) = (&ctx.cluster, &ctx.model);
     let analysis = analyze(plan, model, cluster);
@@ -65,11 +66,32 @@ fn check_plan(plan: &IterationPlan, batch: &Batch, ctx: &SchedulerCtx, cfg: &Ste
 fn static_attention_matches_simulated_for_every_scheduler() {
     let mut rng = StdRng::seed_from_u64(17);
     let batch = sample_batch(&github(), &mut rng, 65_536);
-    check(&TeCp::new(), &batch);
-    check(&LlamaCp::new(), &batch);
-    check(&DoubleRingCp::new(), &batch);
-    check(&Ulysses::new(), &batch);
-    check(&Zeppelin::new(), &batch);
+    let cluster = cluster_a(2);
+    check(&cluster, &TeCp::new(), &batch);
+    check(&cluster, &LlamaCp::new(), &batch);
+    check(&cluster, &DoubleRingCp::new(), &batch);
+    check(&cluster, &Ulysses::new(), &batch);
+    check(&cluster, &Zeppelin::new(), &batch);
+}
+
+#[test]
+fn static_attention_matches_simulated_on_mixed_tiers_for_every_scheduler() {
+    // One A800 node and two H800 nodes: the A800 ranks' kernels run at
+    // their tier in the executor, and the analyzer must price them there.
+    let mut rng = StdRng::seed_from_u64(17);
+    let batch = sample_batch(&github(), &mut rng, 98_304);
+    let cluster = cluster_mixed(3);
+    for name in SCHEDULER_NAMES {
+        let scheduler = scheduler_by_name(name).expect("registry name");
+        check(&cluster, scheduler.as_ref(), &batch);
+    }
+    // The case `explain` used to get wrong: even-split TE CP on mixed
+    // tiers, whose A800 ranks run at 312/989 of the H800 peak.
+    check(
+        &cluster,
+        &TeCp::new(),
+        &Batch::new(vec![40_000, 20_000, 3_000]),
+    );
 }
 
 #[test]
@@ -79,8 +101,10 @@ fn static_attention_matches_on_adversarial_batches() {
         Batch::new(vec![1; 64]),
         Batch::new(vec![40_000, 1, 1, 1, 25_533]),
     ] {
-        check(&Zeppelin::new(), &batch);
-        check(&TeCp::new(), &batch);
+        for cluster in [cluster_a(2), cluster_mixed(3)] {
+            check(&cluster, &Zeppelin::new(), &batch);
+            check(&cluster, &TeCp::new(), &batch);
+        }
     }
 }
 
@@ -101,17 +125,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(36))]
 
     /// Each registry scheduler planning against random per-rank speeds,
-    /// on 16 or 32 GPUs: speed-aware schedulers declare chunk weights, and
-    /// the analyzer must price the weighted geometry the executor lowers.
-    /// One scheduler per case keeps a deep sweep affordable.
+    /// on 16 or 32 GPUs of Cluster A or 16 or 32 of mixed tiers:
+    /// speed-aware schedulers declare chunk weights, and the analyzer must
+    /// price the weighted geometry the executor lowers at each rank's
+    /// tier. One scheduler per case keeps a deep sweep affordable.
     #[test]
     fn static_attention_matches_simulated_under_random_rank_speeds(
         name in 0usize..SCHEDULER_NAMES.len(),
         nodes in prop_oneof![Just(2usize), Just(4usize)],
+        mixed in any::<bool>(),
         lens in prop::collection::vec(64u64..12_000, 1..8),
         speed in prop::collection::vec(1u32..=1024, 32),
     ) {
-        let cluster = cluster_a(nodes);
+        let cluster = if mixed { cluster_mixed(nodes) } else { cluster_a(nodes) };
         let speed: Vec<f64> = speed[..cluster.total_gpus()]
             .iter()
             .map(|&q| f64::from(q) / 1024.0)
