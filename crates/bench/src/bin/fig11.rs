@@ -1,89 +1,7 @@
-//! Fig. 11: component ablation on the 3B model, 32 GPUs of Cluster A.
-//!
-//! Five configurations per dataset:
-//!   1. TE CP (baseline);
-//!   2. TE CP + Routing Layer (paper: consistent ~1.6×);
-//!   3. Zeppelin partitioner + attention engine only (no routing/remap);
-//!   4. engine + routing;
-//!   5. full Zeppelin (engine + routing + remapping).
-//!
-//! The paper's shape: routing alone gives a flat gain, the engine gives the
-//! biggest jump on balanced datasets, remapping adds a final increment on
-//! right-skewed data and almost nothing on long-dominated GitHub.
-
-use zeppelin_bench::harness::{run_method, ClusterKind, Method, PAPER_SEED};
-use zeppelin_bench::table::{fmt_speedup, fmt_tput, Table};
-use zeppelin_core::zeppelin::ZeppelinConfig;
-use zeppelin_data::datasets::paper_datasets;
-use zeppelin_exec::trainer::RunConfig;
-use zeppelin_exec::StepConfig;
-use zeppelin_model::config::llama_3b;
-
-fn variants() -> Vec<(&'static str, Method)> {
-    vec![
-        ("TE CP", Method::TeCp),
-        ("TE CP + Routing", Method::TeCpRouting),
-        (
-            "Engine only",
-            Method::Zeppelin(ZeppelinConfig {
-                routing: false,
-                remapping: false,
-            }),
-        ),
-        (
-            "Engine + Routing",
-            Method::Zeppelin(ZeppelinConfig {
-                routing: true,
-                remapping: false,
-            }),
-        ),
-        (
-            "Full Zeppelin",
-            Method::Zeppelin(ZeppelinConfig {
-                routing: true,
-                remapping: true,
-            }),
-        ),
-    ]
-}
+//! Fig. 11: component ablation, 3B on 32 GPUs of Cluster A, over the five
+//! variants of `zeppelin_bench::paper::Roster::Ablation`; EXPERIMENTS.md
+//! compares them with the paper.
 
 fn main() {
-    const NODES: usize = 4; // 32 GPUs.
-    const TOKENS_PER_GPU: u64 = 4096;
-    let steps: usize = std::env::var("FIG11_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6);
-    let model = llama_3b();
-    let cluster = ClusterKind::A.build(NODES);
-    let cfg = RunConfig {
-        steps,
-        tokens_per_step: TOKENS_PER_GPU * (NODES * 8) as u64,
-        seed: PAPER_SEED,
-        step: StepConfig::default(),
-    };
-
-    println!("Fig. 11 — ablation, LLaMA 3B on 32 GPUs (Cluster A)");
-    println!("({steps} sampled steps per cell)\n");
-
-    let mut table = Table::new(vec!["variant", "ArXiv", "GitHub", "ProLong64k"]);
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut te: Vec<Option<f64>> = vec![None; 3];
-    for (label, method) in variants() {
-        let mut row = vec![label.to_string()];
-        for (d, dist) in paper_datasets().iter().enumerate() {
-            let tput = run_method(&method, dist, &cluster, &model, &cfg).throughput;
-            if label == "TE CP" {
-                te[d] = tput;
-            }
-            row.push(format!("{} ({})", fmt_tput(tput), fmt_speedup(tput, te[d])));
-        }
-        rows.push(row);
-    }
-    for row in rows {
-        table.row(row);
-    }
-    println!("{}", table.render());
-    println!("(paper: routing alone ~1.6x; engine up to 3.2x on ArXiv;");
-    println!(" remapping lifts ArXiv 3.51x -> 3.64x, negligible on GitHub)");
+    zeppelin_bench::paper::print_figure(zeppelin_bench::paper::Figure::Fig11);
 }

@@ -1,123 +1,7 @@
-//! Fig. 8: end-to-end throughput across models, datasets, and context
-//! lengths.
-//!
-//! Four model configurations (7B and 13B+TP2 on Cluster A; 30B+TP2 and the
-//! 8×550M MoE on Cluster C) × three datasets × total context 64k/128k/256k
-//! at 4k tokens per physical GPU. Reports tokens/second per method and
-//! Zeppelin's speedup over the TE CP baseline, plus the overall average —
-//! the paper's headline is an average of 2.80× (up to 6.60×).
-
-use zeppelin_bench::harness::{methods, run_method, ClusterKind, PAPER_SEED};
-use zeppelin_bench::table::{fmt_speedup, fmt_tput, Table};
-use zeppelin_data::datasets::paper_datasets;
-use zeppelin_exec::tp::{fold_tp, tp_linear_overhead_per_token};
-use zeppelin_exec::trainer::RunConfig;
-use zeppelin_exec::StepConfig;
-use zeppelin_model::config::{llama_13b, llama_30b, llama_7b, moe_8x550m, ModelConfig};
-
-struct Setting {
-    model: ModelConfig,
-    cluster: ClusterKind,
-    tp: usize,
-}
-
-fn settings() -> Vec<Setting> {
-    vec![
-        Setting {
-            model: llama_7b(),
-            cluster: ClusterKind::A,
-            tp: 1,
-        },
-        Setting {
-            model: llama_13b(),
-            cluster: ClusterKind::A,
-            tp: 2,
-        },
-        Setting {
-            model: llama_30b(),
-            cluster: ClusterKind::C,
-            tp: 2,
-        },
-        Setting {
-            model: moe_8x550m(),
-            cluster: ClusterKind::C,
-            tp: 1,
-        },
-    ]
-}
+//! Fig. 8: end-to-end throughput across models, datasets and context
+//! lengths. The cells are `zeppelin_bench::paper::cells` of `Figure::Fig8`;
+//! EXPERIMENTS.md compares them with the paper.
 
 fn main() {
-    const TOKENS_PER_GPU: u64 = 4096;
-    let contexts: [u64; 3] = [65_536, 131_072, 262_144];
-    let steps: usize = std::env::var("FIG8_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
-
-    println!("Fig. 8 — end-to-end training throughput (tokens/s)");
-    println!("(4k tokens per physical GPU; {steps} sampled steps per cell)\n");
-
-    let mut zeppelin_speedups: Vec<f64> = Vec::new();
-    for setting in settings() {
-        let mut table = Table::new(vec![
-            "dataset",
-            "context",
-            "TE CP",
-            "LLaMA CP",
-            "Hybrid DP",
-            "Zeppelin",
-            "speedup",
-        ]);
-        for dist in paper_datasets() {
-            for &ctx_tokens in &contexts {
-                let gpus = (ctx_tokens / TOKENS_PER_GPU) as usize;
-                let nodes = gpus / 8;
-                let physical = setting.cluster.build(nodes);
-                let cluster = fold_tp(&physical, setting.tp).expect("tp folds");
-                let mut cfg = RunConfig {
-                    steps,
-                    tokens_per_step: ctx_tokens,
-                    seed: PAPER_SEED,
-                    step: StepConfig::default(),
-                };
-                cfg.step.exec.tp_overhead_per_token = tp_linear_overhead_per_token(
-                    &setting.model,
-                    setting.tp,
-                    physical.node.gpu.nvlink_bw,
-                );
-                let mut tputs: Vec<Option<f64>> = Vec::new();
-                for method in methods() {
-                    let out = run_method(&method, &dist, &cluster, &setting.model, &cfg);
-                    tputs.push(out.throughput);
-                }
-                if let (Some(te), Some(zep)) = (tputs[0], tputs[3]) {
-                    zeppelin_speedups.push(zep / te);
-                }
-                table.row(vec![
-                    dist.name.clone(),
-                    format!("{}k", ctx_tokens / 1024),
-                    fmt_tput(tputs[0]),
-                    fmt_tput(tputs[1]),
-                    fmt_tput(tputs[2]),
-                    fmt_tput(tputs[3]),
-                    fmt_speedup(tputs[3], tputs[0]),
-                ]);
-            }
-        }
-        println!(
-            "{} on {} (tp={}):",
-            setting.model.name,
-            setting.cluster.label(),
-            setting.tp
-        );
-        println!("{}", table.render());
-    }
-
-    let avg = zeppelin_speedups.iter().sum::<f64>() / zeppelin_speedups.len() as f64;
-    let max = zeppelin_speedups.iter().cloned().fold(0.0f64, f64::max);
-    println!(
-        "Zeppelin vs TE CP over {} cells: average {avg:.2}x, max {max:.2}x",
-        zeppelin_speedups.len()
-    );
-    println!("(paper reports average 2.80x, up to 6.60x)");
+    zeppelin_bench::paper::print_figure(zeppelin_bench::paper::Figure::Fig8);
 }

@@ -1,61 +1,7 @@
-//! Fig. 9: scalability of the LLaMA 3B model on Cluster A.
-//!
-//! Throughput vs GPU count (16–128, i.e. 2–16 nodes) with the context fixed
-//! at 4k tokens per GPU, for each dataset and method. The paper's shape:
-//! TE CP stays flat (cross-node ring bottleneck), LLaMA CP grows modestly,
-//! Hybrid DP fails to beat LLaMA CP even at small scale, and Zeppelin
-//! scales best everywhere.
-
-use zeppelin_bench::harness::{methods, run_method, ClusterKind, PAPER_SEED};
-use zeppelin_bench::table::{fmt_speedup, fmt_tput, Table};
-use zeppelin_data::datasets::paper_datasets;
-use zeppelin_exec::trainer::RunConfig;
-use zeppelin_exec::StepConfig;
-use zeppelin_model::config::llama_3b;
+//! Fig. 9: scalability of LLaMA 3B on Cluster A, 16–128 GPUs at 4k tokens
+//! per GPU. The cells are `zeppelin_bench::paper::cells` of `Figure::Fig9`;
+//! EXPERIMENTS.md compares them with the paper.
 
 fn main() {
-    const TOKENS_PER_GPU: u64 = 4096;
-    let gpu_counts = [16usize, 32, 64, 128];
-    let steps: usize = std::env::var("FIG9_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let model = llama_3b();
-
-    println!("Fig. 9 — scalability, LLaMA 3B on Cluster A (4k tokens/GPU)");
-    println!("({steps} sampled steps per point)\n");
-
-    for dist in paper_datasets() {
-        let mut table = Table::new(vec![
-            "GPUs",
-            "TE CP",
-            "LLaMA CP",
-            "Hybrid DP",
-            "Zeppelin",
-            "speedup",
-        ]);
-        for &gpus in &gpu_counts {
-            let cluster = ClusterKind::A.build(gpus / 8);
-            let cfg = RunConfig {
-                steps,
-                tokens_per_step: TOKENS_PER_GPU * gpus as u64,
-                seed: PAPER_SEED,
-                step: StepConfig::default(),
-            };
-            let tputs: Vec<Option<f64>> = methods()
-                .iter()
-                .map(|m| run_method(m, &dist, &cluster, &model, &cfg).throughput)
-                .collect();
-            table.row(vec![
-                format!("{gpus}"),
-                fmt_tput(tputs[0]),
-                fmt_tput(tputs[1]),
-                fmt_tput(tputs[2]),
-                fmt_tput(tputs[3]),
-                fmt_speedup(tputs[3], tputs[0]),
-            ]);
-        }
-        println!("{}:", dist.name);
-        println!("{}", table.render());
-    }
+    zeppelin_bench::paper::print_figure(zeppelin_bench::paper::Figure::Fig9);
 }

@@ -5,92 +5,34 @@
 //! bucket; the *Skewed* batch is one very long sequence plus short fillers.
 //! Rows report `min - max` across ranks, whole-forward / whole-backward
 //! (per-layer values × layer count), matching the paper's table format.
+//! "Forward Sequence Partition" is the planner's host wall time, so it is
+//! the one row that changes between runs.
 
+use zeppelin_bench::paper::Table3;
 use zeppelin_bench::table::Table;
-use zeppelin_core::scheduler::SchedulerCtx;
-use zeppelin_core::zeppelin::Zeppelin;
-use zeppelin_data::batch::{balanced_batch, skewed_batch, Batch};
-use zeppelin_data::datasets::arxiv;
-use zeppelin_exec::step::{simulate_step, PhaseBreakdown, StepConfig, StepReport};
-use zeppelin_model::config::llama_7b;
-use zeppelin_sim::time::SimDuration;
-use zeppelin_sim::topology::cluster_c;
-
-/// Per-rank elapsed span (first event start to last event end), per rank.
-fn elapsed_per_rank(trace: &zeppelin_sim::trace::Trace, nranks: usize) -> Vec<SimDuration> {
-    (0..nranks)
-        .map(|r| {
-            let evs = trace.rank_timeline(r);
-            match (evs.first(), evs.last()) {
-                (Some(first), Some(_)) => {
-                    let end = evs.iter().map(|e| e.end).max().expect("non-empty");
-                    end.since(first.start)
-                }
-                _ => SimDuration::ZERO,
-            }
-        })
-        .collect()
-}
-
-fn scaled_range(v: &[SimDuration], layers: u64) -> String {
-    let (min, max) = PhaseBreakdown::range(v);
-    format!(
-        "{:.0} - {:.0}",
-        min.as_millis_f64() * layers as f64,
-        max.as_millis_f64() * layers as f64
-    )
-}
-
-fn column(report: &StepReport, layers: u64, plan_ms: f64) -> Vec<String> {
-    let nranks = report.forward_phase.attention.len();
-    vec![
-        scaled_range(&elapsed_per_rank(&report.trace_forward, nranks), layers),
-        scaled_range(&report.forward_phase.attention, layers),
-        scaled_range(&report.forward_phase.linear, layers),
-        scaled_range(&report.forward_phase.remap, layers),
-        format!("{plan_ms:.3}"),
-        scaled_range(&elapsed_per_rank(&report.trace_backward, nranks), layers),
-    ]
-}
 
 fn main() {
-    const TOTAL: u64 = 131_072;
-    let cluster = cluster_c(4);
-    let model = llama_7b();
-    let ctx = SchedulerCtx::new(&cluster, &model);
-    let cfg = StepConfig::default();
-    let layers = model.layers as u64;
+    let t3 = Table3::simulate();
+    let [(_, balanced, rb), (_, skewed, rs)] = &t3.runs;
+    let (cb, cs) = (t3.ranges(rb), t3.ranges(rs));
+    let range = |(min, max): (f64, f64)| format!("{min:.0} - {max:.0}");
 
-    let balanced: Batch = balanced_batch(&arxiv(), TOTAL);
-    let skewed: Batch = skewed_batch(TOTAL, 0.7);
-
-    let zeppelin = Zeppelin::new();
-    let rb = simulate_step(&zeppelin, &balanced, &ctx, &cfg).expect("balanced run");
-    let rs = simulate_step(&zeppelin, &skewed, &ctx, &cfg).expect("skewed run");
-
-    let cb = column(&rb, layers, rb.plan_wall.as_secs_f64() * 1e3);
-    let cs = column(&rs, layers, rs.plan_wall.as_secs_f64() * 1e3);
-
-    println!("Table 3 — cost distribution across ranks (ms, min - max)");
-    println!("(7B, 4 nodes Cluster C, 128k total context, full Zeppelin)\n");
+    println!(
+        "Table 3 — cost distribution across ranks (ms, min - max)\n\
+              (7B, 4 nodes Cluster C, 128k total context, full Zeppelin)\n"
+    );
     let mut table = Table::new(vec!["Components (ms)", "Balanced", "Skewed"]);
-    let rows = [
-        "Forward",
-        "Forward Quadratic Attention",
-        "Forward Linear Modules",
-        "Forward Remapping Layer",
-        "Forward Sequence Partition",
-        "Backward",
-    ];
-    for (i, name) in rows.iter().enumerate() {
-        table.row(vec![name.to_string(), cb[i].clone(), cs[i].clone()]);
+    for (i, name) in Table3::ROWS.iter().enumerate() {
+        if *name == "Backward" {
+            let [b, s] = [rb, rs].map(|r| format!("{:.3}", r.plan_wall.as_secs_f64() * 1e3));
+            table.row(vec!["Forward Sequence Partition".into(), b, s]);
+        }
+        table.row(vec![name.to_string(), range(cb[i]), range(cs[i])]);
     }
     println!("{}", table.render());
+    println!("batch shapes: balanced = {balanced} sequences, skewed = {skewed} sequences");
     println!(
-        "batch shapes: balanced = {} sequences, skewed = {} sequences",
-        balanced.len(),
-        skewed.len()
+        "(paper: skewed forward dominated by the long sequence's attention;\n \
+              remapping and partitioning negligible in both)"
     );
-    println!("(paper: skewed forward dominated by the long sequence's attention;");
-    println!(" remapping and partitioning negligible in both)");
 }

@@ -7,7 +7,6 @@ use zeppelin_baselines::{HybridDp, LlamaCp, Packing, TeCp};
 use zeppelin_core::scheduler::{Scheduler, SchedulerCtx};
 use zeppelin_core::zeppelin::{Zeppelin, ZeppelinConfig};
 use zeppelin_data::distribution::LengthDistribution;
-use zeppelin_exec::step::StepConfig;
 use zeppelin_exec::trainer::{run_training, RunConfig, RunError, RunReport};
 use zeppelin_exec::StepError;
 use zeppelin_model::config::{llama_3b, ModelConfig};
@@ -120,53 +119,22 @@ pub fn methods() -> Vec<Method> {
     ]
 }
 
-/// Outcome of running one method on one experimental point.
-pub struct MethodOutcome {
-    /// Method name.
-    pub name: String,
-    /// Mean tokens/second, or `None` if the method could not place the
-    /// workload (e.g. all-gather memory exhaustion).
-    pub throughput: Option<f64>,
-    /// Full run report if the run succeeded.
-    pub report: Option<RunReport>,
-}
-
-/// Standard quick run: enough sampled steps for stable means while keeping
-/// the full exhibit suite tractable.
-pub fn quick_run_config(tokens_per_step: u64) -> RunConfig {
-    RunConfig {
-        steps: 8,
-        tokens_per_step,
-        seed: PAPER_SEED,
-        step: StepConfig::default(),
-    }
-}
-
-/// Runs one method over sampled batches, tolerating capacity failures
-/// (reported as `throughput: None`, mirroring OOM points in the paper).
+/// Runs one method over sampled batches. A capacity failure returns `None`,
+/// mirroring the paper's OOM points.
 pub fn run_method(
     method: &Method,
     dist: &LengthDistribution,
     cluster: &ClusterSpec,
     model: &ModelConfig,
     cfg: &RunConfig,
-) -> MethodOutcome {
-    let scheduler = method.build();
+) -> Option<RunReport> {
     let ctx = SchedulerCtx::new(cluster, model);
-    match run_training(scheduler.as_ref(), dist, &ctx, cfg) {
-        Ok(report) => MethodOutcome {
-            name: report.scheduler.clone(),
-            throughput: Some(report.mean_throughput),
-            report: Some(report),
-        },
+    match run_training(method.build().as_ref(), dist, &ctx, cfg) {
+        Ok(report) => Some(report),
         Err(RunError::Step {
             source: StepError::Plan(_),
             ..
-        }) => MethodOutcome {
-            name: method.name().to_string(),
-            throughput: None,
-            report: None,
-        },
+        }) => None,
         Err(e) => panic!("simulation failed for {}: {e}", method.name()),
     }
 }
