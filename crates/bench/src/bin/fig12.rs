@@ -11,7 +11,8 @@
 //!       separate nodes with no inter-node traffic at all.
 //!
 //! Prints per-round communication statistics, ASCII timelines, and writes
-//! Chrome-trace JSON files under `target/fig12/`.
+//! Chrome-trace JSON files under the workspace's `target/fig12/`, whatever
+//! the current directory.
 
 use zeppelin_bench::paper::{compute_bubbles, zone_counts, Fig12, FIG12_RUNS};
 use zeppelin_exec::step::StepReport;
@@ -65,9 +66,11 @@ fn main() {
     let (te, multi) = (layer(&fig.runs[0]), layer(&fig.runs[2]));
     println!("per-layer forward+backward: TE CP {te} vs Zeppelin (multi-seq) {multi}");
 
-    // Chrome traces for visual inspection.
-    let dir = std::path::Path::new("target/fig12");
-    std::fs::create_dir_all(dir).expect("create trace dir");
+    // Chrome traces for visual inspection, in the workspace's target
+    // directory wherever the binary runs from.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/fig12");
+    std::fs::create_dir_all(&dir).expect("create trace dir");
+    let dir = dir.canonicalize().expect("resolve trace dir");
     for (stem, report) in FIG12_RUNS.iter().zip(&fig.runs) {
         let path = dir.join(format!("{stem}.json"));
         std::fs::write(&path, report.trace_forward.to_chrome_json()).expect("write trace");

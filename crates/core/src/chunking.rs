@@ -246,14 +246,7 @@ impl RingGeometry {
     /// Attention FLOPs of query position `q` against the KV chunks owned by
     /// position `kv`.
     pub fn pair_flops(&self, cfg: &ModelConfig, q: usize, kv: usize) -> f64 {
-        let kv = self.position(kv);
-        let mut flops = 0.0;
-        for qc in self.position(q) {
-            for kc in kv {
-                flops += attention_block_flops(cfg, qc.offset, qc.len, kc.offset, kc.len);
-            }
-        }
-        flops
+        chunk_pair_flops(cfg, self.position(q), self.position(kv))
     }
 
     /// Attention FLOPs computed by position `p` in round `r`.
@@ -271,6 +264,22 @@ impl RingGeometry {
     pub fn total_flops(&self, cfg: &ModelConfig, p: usize) -> f64 {
         (0..self.g).map(|r| self.round_flops(cfg, p, r)).sum()
     }
+}
+
+/// Attention FLOPs of a position's query chunks `q` against another's KV
+/// chunks `kv`: the four causal blocks in order, except that a block whose
+/// KV chunk starts at or after its query chunk's end is skipped. It has no
+/// causal pair and would add +0.0, so skipping it changes no bit.
+pub(crate) fn chunk_pair_flops(cfg: &ModelConfig, q: [Chunk; 2], kv: [Chunk; 2]) -> f64 {
+    let mut flops = 0.0;
+    for qc in q {
+        for kc in kv {
+            if kc.offset < qc.offset + qc.len {
+                flops += attention_block_flops(cfg, qc.offset, qc.len, kc.offset, kc.len);
+            }
+        }
+    }
+    flops
 }
 
 /// Ring source position whose KV reaches `position` in `round`.

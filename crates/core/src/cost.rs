@@ -17,7 +17,7 @@ use zeppelin_model::kernel::{KernelModel, COMM_LAUNCH_OVERHEAD_S};
 use zeppelin_model::memory::kv_bytes;
 use zeppelin_sim::topology::{ClusterSpec, Rank};
 
-use crate::chunking::{kv_source, RingGeometry};
+use crate::chunking::{chunk_pair_flops, kv_source, Chunk};
 use crate::plan::{AttnMode, IterationPlan, SeqPlacement, Zone};
 
 /// Per-rank kernel pricing: every rank runs the attention and GEMM kernel
@@ -215,6 +215,11 @@ pub struct Group {
 }
 
 impl Group {
+    /// Tabulates the group in one pass over its sequences, in plan order:
+    /// each sequence's chunks are cut once and its share of every cell is
+    /// added to the running sums. Every cell therefore adds the same f64
+    /// terms in the same order as a per-cell `Σ_s` over the geometries
+    /// would, and gets the same bits.
     fn new(
         model: &ModelConfig,
         cluster: &ClusterSpec,
@@ -224,39 +229,48 @@ impl Group {
         let first = seqs[0];
         let ranks = first.ranks.clone();
         let g = ranks.len();
-        let geoms: Vec<RingGeometry> = seqs.iter().map(|p| p.geometry()).collect();
-        let tokens: Vec<u64> = (0..g)
-            .map(|p| geoms.iter().map(|s| s.tokens(p)).sum())
-            .collect();
-        let kv = (0..g)
-            .map(|q| geoms.iter().map(|s| kv_bytes(model, s.tokens(q))).sum())
-            .collect();
-        let table = match first.mode {
-            AttnMode::Ring | AttnMode::DoubleRing => {
-                let mut pair = Vec::with_capacity(g * g);
-                for p in 0..g {
-                    for q in 0..g {
-                        pair.push(geoms.iter().map(|s| s.pair_flops(model, p, q)).sum());
+        let mut tokens = vec![0; g];
+        let mut kv = vec![0.0; g];
+        let mut table = match first.mode {
+            AttnMode::Ring | AttnMode::DoubleRing => GroupTable::Ring {
+                order: RingOrder::of(cluster, &ranks, first.mode),
+                pair: vec![0.0; g * g],
+            },
+            AttnMode::AllGather => GroupTable::AllGather {
+                flops: vec![0.0; g],
+            },
+            AttnMode::Ulysses => GroupTable::Ulysses { flops: 0.0 },
+        };
+        let mut chunks: Vec<[Chunk; 2]> = Vec::with_capacity(g);
+        for seq in seqs {
+            let geom = seq.geometry();
+            chunks.clear();
+            chunks.extend((0..g).map(|p| geom.position(p)));
+            for (p, [a, b]) in chunks.iter().enumerate() {
+                tokens[p] += a.len + b.len;
+                kv[p] += kv_bytes(model, a.len + b.len);
+            }
+            match &mut table {
+                GroupTable::Ring { pair, .. } => {
+                    for p in 0..g {
+                        for q in 0..g {
+                            pair[p * g + q] += chunk_pair_flops(model, chunks[p], chunks[q]);
+                        }
                     }
                 }
-                GroupTable::Ring {
-                    order: RingOrder::of(cluster, &ranks, first.mode),
-                    pair,
+                GroupTable::AllGather { flops } => {
+                    for p in 0..g {
+                        flops[p] += (0..g)
+                            .map(|r| chunk_pair_flops(model, chunks[p], chunks[kv_source(g, p, r)]))
+                            .sum::<f64>();
+                    }
                 }
+                GroupTable::Ulysses { flops } => *flops += attention_seq_flops(model, seq.len),
             }
-            AttnMode::AllGather => GroupTable::AllGather {
-                flops: (0..g)
-                    .map(|p| geoms.iter().map(|s| s.total_flops(model, p)).sum())
-                    .collect(),
-            },
-            AttnMode::Ulysses => GroupTable::Ulysses {
-                flops: geoms
-                    .iter()
-                    .map(|s| attention_seq_flops(model, s.seq_len()))
-                    .sum::<f64>()
-                    / g as f64,
-            },
-        };
+        }
+        if let GroupTable::Ulysses { flops } = &mut table {
+            *flops /= g as f64;
+        }
         Group {
             micro_batch,
             ranks,
@@ -349,8 +363,92 @@ impl Fusion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunking::RingGeometry;
+    use proptest::prelude::*;
     use zeppelin_model::config::llama_3b;
     use zeppelin_sim::topology::{cluster_a, cluster_mixed};
+
+    /// One group's placements: mode, ring size, first rank on `cluster_a(2)`,
+    /// per-position weights and sequence lengths. Some are shorter than
+    /// `2G`, so some chunks are empty. Others run to 2^30 tokens: only
+    /// there do the FLOP sums leave the integers an f64 holds exactly, so
+    /// a changed summation order shows.
+    fn arb_group() -> impl Strategy<Value = (AttnMode, usize, usize, Vec<u32>, Vec<u64>)> {
+        let modes = prop_oneof![
+            Just(AttnMode::Ring),
+            Just(AttnMode::DoubleRing),
+            Just(AttnMode::AllGather)
+        ];
+        (modes, 2usize..=16).prop_flat_map(|(mode, g)| {
+            let weights = prop_oneof![
+                Just(Vec::new()),
+                (1u32..4096).prop_map(move |w| vec![w; g]),
+                prop::collection::vec(1u32..=2048, g),
+            ];
+            let short = 1..2 * g as u64;
+            let lens =
+                prop::collection::vec(prop_oneof![short, 1u64..200_000, 1u64..1 << 30], 1..8);
+            (Just(mode), Just(g), 0..=16 - g, weights, lens)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The one-pass tables equal, bit for bit, the per-cell sums over
+        /// each sequence's geometry in plan order.
+        #[test]
+        fn group_tables_equal_the_per_cell_sums(
+            (mode, g, start, weights, lens) in arb_group()
+        ) {
+            let model = llama_3b();
+            let placements = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| SeqPlacement {
+                    seq_index: i,
+                    len,
+                    zone: Zone::InterNode,
+                    ranks: (start..start + g).collect(),
+                    mode,
+                    micro_batch: 0,
+                    weights: weights.clone(),
+                })
+                .collect();
+            let plan = IterationPlan {
+                scheduler: "t".into(),
+                placements,
+                options: Default::default(),
+                micro_batches: 1,
+                redundant_attn_frac: 0.0,
+            };
+            let fusion = Fusion::new(&plan, &model, &cluster_a(2));
+            prop_assert_eq!(fusion.groups.len(), 1);
+            let geoms: Vec<RingGeometry> = plan.placements.iter().map(|p| p.geometry()).collect();
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            match &fusion.groups[0].table {
+                GroupTable::Ring { pair, .. } => {
+                    prop_assert!(mode != AttnMode::AllGather);
+                    let want: Vec<f64> = (0..g * g)
+                        .map(|c| geoms.iter().map(|s| s.pair_flops(&model, c / g, c % g)).sum())
+                        .collect();
+                    prop_assert_eq!(bits(pair), bits(&want));
+                }
+                GroupTable::AllGather { flops } => {
+                    prop_assert_eq!(mode, AttnMode::AllGather);
+                    let want: Vec<f64> = (0..g)
+                        .map(|p| geoms.iter().map(|s| s.total_flops(&model, p)).sum())
+                        .collect();
+                    prop_assert_eq!(bits(flops), bits(&want));
+                }
+                GroupTable::Ulysses { .. } => prop_assert!(false, "no Ulysses placements"),
+            }
+            let kv: Vec<f64> = (0..g)
+                .map(|q| geoms.iter().map(|s| kv_bytes(&model, s.tokens(q))).sum())
+                .collect();
+            prop_assert_eq!(bits(&fusion.groups[0].kv), bits(&kv));
+        }
+    }
 
     #[test]
     fn peaks_scale_the_base_by_rank_speed() {

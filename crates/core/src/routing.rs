@@ -30,14 +30,17 @@ pub struct FlowSpec {
     pub bytes: f64,
 }
 
+/// One proxy pair's share of a routed transfer: `(dispatch, inter,
+/// combine)`. Dispatch/combine are `None` when the proxy *is* the endpoint
+/// (no intra-node hop needed).
+pub type RouteShare = (Option<FlowSpec>, FlowSpec, Option<FlowSpec>);
+
 /// A three-stage routed transfer. Stage `i+1` of a given share depends on
 /// stage `i`; shares are independent of each other.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedTransfer {
-    /// `shares[i] = (dispatch, inter, combine)` for proxy pair `i`.
-    /// Dispatch/combine are `None` when the proxy *is* the endpoint
-    /// (no intra-node hop needed).
-    pub shares: Vec<(Option<FlowSpec>, FlowSpec, Option<FlowSpec>)>,
+    /// `shares[i]` for proxy pair `i`.
+    pub shares: Vec<RouteShare>,
 }
 
 impl RoutedTransfer {
@@ -68,6 +71,87 @@ pub fn proxies_of_node(cluster: &ClusterSpec, node: usize) -> Vec<Rank> {
     by_nic.into_iter().flatten().collect()
 }
 
+/// Every node's proxy set for one cluster, built once so that routing a
+/// hop allocates nothing. Nodes share one blueprint, so node `n`'s set is
+/// node 0's ([`proxies_of_node`]) shifted by `n` nodes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProxyTable {
+    gpus_per_node: usize,
+    /// Local GPU index of each proxy, in NIC order.
+    proxies: Vec<usize>,
+    /// `slot[local]`: position in `proxies` of that GPU's NIC group.
+    slot: Vec<usize>,
+}
+
+impl ProxyTable {
+    /// The proxy sets of `cluster`.
+    pub fn new(cluster: &ClusterSpec) -> ProxyTable {
+        let affinity = &cluster.node.nic_affinity;
+        let proxies = proxies_of_node(cluster, 0);
+        let slot = (0..cluster.node.gpus_per_node)
+            .map(|local| {
+                proxies
+                    .iter()
+                    .position(|&p| affinity[p] == affinity[local])
+                    .expect("every GPU's NIC group has a proxy")
+            })
+            .collect();
+        ProxyTable {
+            gpus_per_node: cluster.node.gpus_per_node,
+            proxies,
+            slot,
+        }
+    }
+
+    /// Proxy pairs of every routed transfer (§3.3's one-to-one matching
+    /// of equal send and receive sets: one lane per NIC).
+    fn lanes(&self) -> usize {
+        self.proxies.len()
+    }
+
+    /// Proxy `lane` on `endpoint`'s node. The endpoint stands in for its
+    /// own NIC group's proxy and takes lane 0: the share that stays on the
+    /// endpoint skips an intra-node hop entirely.
+    fn proxy(&self, endpoint: Rank, lane: usize) -> Rank {
+        let local = endpoint % self.gpus_per_node;
+        let base = endpoint - local;
+        let own = self.slot[local];
+        if lane == 0 {
+            endpoint
+        } else if lane == own {
+            base + self.proxies[0]
+        } else {
+            base + self.proxies[lane]
+        }
+    }
+
+    /// The shares of routing `bytes` from `src` to `dst` on another node,
+    /// one per lane, `bytes / lanes` each.
+    pub fn route(&self, src: Rank, dst: Rank, bytes: f64) -> impl Iterator<Item = RouteShare> + '_ {
+        let share = bytes / self.lanes() as f64;
+        (0..self.lanes()).map(move |i| {
+            let p = self.proxy(src, i);
+            let q = self.proxy(dst, i);
+            let dispatch = (p != src).then_some(FlowSpec {
+                src,
+                dst: p,
+                bytes: share,
+            });
+            let inter = FlowSpec {
+                src: p,
+                dst: q,
+                bytes: share,
+            };
+            let combine = (q != dst).then_some(FlowSpec {
+                src: q,
+                dst,
+                bytes: share,
+            });
+            (dispatch, inter, combine)
+        })
+    }
+}
+
 /// Decomposes an inter-node transfer into the three-step routed form.
 ///
 /// # Panics
@@ -92,50 +176,8 @@ pub fn route_internode(cluster: &ClusterSpec, src: Rank, dst: Rank, bytes: f64) 
         "routing decomposes inter-node transfers only"
     );
     assert!(bytes >= 0.0, "bytes must be non-negative");
-    let mut send_proxies = proxies_of_node(cluster, cluster.node_of(src));
-    let mut recv_proxies = proxies_of_node(cluster, cluster.node_of(dst));
-    // Prefer the endpoints as their own NIC-group proxies: the share that
-    // stays on the endpoint skips an intra-node hop entirely.
-    prefer_endpoint(&mut send_proxies, cluster, src);
-    prefer_endpoint(&mut recv_proxies, cluster, dst);
-    // One-to-one matching (§3.3): lanes = min(x1, x2).
-    let lanes = send_proxies.len().min(recv_proxies.len()).max(1);
-    let share = bytes / lanes as f64;
-    let shares = (0..lanes)
-        .map(|i| {
-            let p = send_proxies[i];
-            let q = recv_proxies[i];
-            let dispatch = (p != src).then_some(FlowSpec {
-                src,
-                dst: p,
-                bytes: share,
-            });
-            let inter = FlowSpec {
-                src: p,
-                dst: q,
-                bytes: share,
-            };
-            let combine = (q != dst).then_some(FlowSpec {
-                src: q,
-                dst,
-                bytes: share,
-            });
-            (dispatch, inter, combine)
-        })
-        .collect();
-    RoutedTransfer { shares }
-}
-
-/// Swaps the endpoint's NIC-group proxy to be the endpoint itself, placing
-/// its lane first.
-fn prefer_endpoint(proxies: &mut [Rank], cluster: &ClusterSpec, endpoint: Rank) {
-    let endpoint_nic = cluster.nic_of(endpoint);
-    if let Some(pos) = proxies
-        .iter()
-        .position(|&p| cluster.nic_of(p) == endpoint_nic)
-    {
-        proxies[pos] = endpoint;
-        proxies.swap(0, pos);
+    RoutedTransfer {
+        shares: ProxyTable::new(cluster).route(src, dst, bytes).collect(),
     }
 }
 
@@ -172,6 +214,64 @@ mod tests {
         // Second node's proxies live on the second node.
         let p1 = proxies_of_node(&c, 1);
         assert!(p1.iter().all(|&r| c.node_of(r) == 1));
+    }
+
+    /// The per-hop routing the table replaces: each node's proxy set built
+    /// afresh, each endpoint swapped in for its own NIC group's proxy.
+    fn reference_route(c: &ClusterSpec, src: Rank, dst: Rank, bytes: f64) -> Vec<RouteShare> {
+        let prefer = |proxies: &mut Vec<Rank>, endpoint: Rank| {
+            if let Some(pos) = proxies
+                .iter()
+                .position(|&p| c.nic_of(p) == c.nic_of(endpoint))
+            {
+                proxies[pos] = endpoint;
+                proxies.swap(0, pos);
+            }
+        };
+        let mut send = proxies_of_node(c, c.node_of(src));
+        let mut recv = proxies_of_node(c, c.node_of(dst));
+        prefer(&mut send, src);
+        prefer(&mut recv, dst);
+        let lanes = send.len().min(recv.len()).max(1);
+        let share = bytes / lanes as f64;
+        let flow = |src, dst| FlowSpec {
+            src,
+            dst,
+            bytes: share,
+        };
+        (0..lanes)
+            .map(|i| {
+                let (p, q) = (send[i], recv[i]);
+                let dispatch = (p != src).then(|| flow(src, p));
+                let combine = (q != dst).then(|| flow(q, dst));
+                (dispatch, flow(p, q), combine)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn proxy_table_matches_the_per_hop_reference_on_every_pair() {
+        // A node whose NIC order differs from its GPU order, with unequal
+        // NIC groups.
+        let mut skewed = tiny_cluster(3, 6);
+        skewed.node.nic_count = 3;
+        skewed.node.nic_affinity = vec![2, 0, 2, 1, 0, 2];
+        for c in [cluster_a(3), cluster_c(2), tiny_cluster(2, 4), skewed] {
+            c.validate().unwrap();
+            let table = ProxyTable::new(&c);
+            for src in 0..c.total_gpus() {
+                for dst in (0..c.total_gpus()).filter(|&d| !c.same_node(src, d)) {
+                    let bytes = 1e6 + (src * 31 + dst) as f64;
+                    let got: Vec<RouteShare> = table.route(src, dst, bytes).collect();
+                    assert_eq!(
+                        got,
+                        reference_route(&c, src, dst, bytes),
+                        "{} {src}->{dst}",
+                        c.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

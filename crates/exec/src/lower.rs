@@ -25,7 +25,7 @@
 use zeppelin_core::cost::{CostModel, Fusion, Group, GroupTable, RingOrder};
 use zeppelin_core::plan::{IterationPlan, Zone};
 use zeppelin_core::remap::{needs_remap, needs_remap_weighted, plan_remap, plan_remap_weighted};
-use zeppelin_core::routing::route_internode;
+use zeppelin_core::routing::ProxyTable;
 use zeppelin_model::config::ModelConfig;
 use zeppelin_model::flops::{
     linear_flops_per_token, BACKWARD_COMM_MULTIPLIER, BACKWARD_FLOPS_MULTIPLIER,
@@ -240,6 +240,47 @@ pub struct LayerOutcome {
     pub comm_tasks: Vec<TaskId>,
 }
 
+/// What every group of one layer is lowered against: the simulator's
+/// cluster (cloned once per layer), its routing proxy sets, the kernel
+/// pricing, the config and the direction.
+struct Layer<'a> {
+    cluster: ClusterSpec,
+    proxies: ProxyTable,
+    cost: CostModel,
+    cfg: &'a ExecConfig,
+    dir: Direction,
+    /// Reused list of a routed transfer's last-stage tasks.
+    finals: Vec<TaskId>,
+}
+
+/// The present ones of two optional dependencies, in order, held inline.
+struct Deps {
+    ids: [TaskId; 2],
+    len: usize,
+}
+
+impl Deps {
+    fn of(opts: [Option<TaskId>; 2]) -> Deps {
+        let mut deps = Deps {
+            ids: [TaskId(0); 2],
+            len: 0,
+        };
+        for id in opts.into_iter().flatten() {
+            deps.ids[deps.len] = id;
+            deps.len += 1;
+        }
+        deps
+    }
+}
+
+impl std::ops::Deref for Deps {
+    type Target = [TaskId];
+
+    fn deref(&self) -> &[TaskId] {
+        &self.ids[..self.len]
+    }
+}
+
 /// Lowers one layer of `plan` in `dir`, chaining from per-rank `entry`
 /// markers (use `&[]`-equivalent `vec![None; ranks]` for the first layer).
 ///
@@ -270,9 +311,19 @@ pub fn lower_layer(
             .unwrap_or_else(|e| panic!("invalid ExecConfig: {e}")),
     );
     let fusion = Fusion::new(plan, model, &cluster);
+    let mut layer = Layer {
+        proxies: ProxyTable::new(&cluster),
+        cluster,
+        cost,
+        cfg,
+        dir,
+        finals: Vec::new(),
+    };
 
     let mut out = LayerOutcome::default();
     let mut mb_entry: Vec<Option<TaskId>> = entry.to_vec();
+    // Reused dependency list for joins of a variable number of tasks.
+    let mut join: Vec<TaskId> = Vec::new();
 
     for mb in 0..plan.micro_batches {
         // Per-rank attention compute ids (for the attention-done barrier)
@@ -308,15 +359,17 @@ pub fn lower_layer(
             {
                 let deps = (&seg_dep[..], &comm_dep[..]);
                 let (computes, sends) = match &group.table {
-                    GroupTable::Ring { order, pair } => lower_ring_group(
-                        sim, cfg, &cost, dir, plan, group, *order, pair, deps, &mut out,
-                    )?,
-                    GroupTable::AllGather { flops } => {
-                        lower_allgather_group(sim, cfg, &cost, dir, group, flops, deps, &mut out)?
+                    GroupTable::Ring { order, pair } => {
+                        let route = plan.options.routing;
+                        let ring = (*order, pair.as_slice(), route);
+                        lower_ring_group(sim, &mut layer, group, ring, deps, &mut out)?
                     }
-                    GroupTable::Ulysses { flops } => lower_ulysses_group(
-                        sim, model, cfg, &cost, dir, group, *flops, deps, &mut out,
-                    )?,
+                    GroupTable::AllGather { flops } => {
+                        lower_allgather_group(sim, &mut layer, group, flops, deps, &mut out)?
+                    }
+                    GroupTable::Ulysses { flops } => {
+                        lower_ulysses_group(sim, model, &mut layer, group, *flops, deps, &mut out)?
+                    }
                 };
                 for (rank, id) in computes {
                     seg_computes[rank].push(id);
@@ -332,13 +385,12 @@ pub fn lower_layer(
             if select(Zone::Local) {
                 for (&(_, rank), &flops) in fusion.locals.range((mb, 0)..=(mb, usize::MAX)) {
                     let flops = flops * dir.flops_scale();
-                    let dur = SimDuration::from_secs_f64(cost.attention_secs(rank, flops));
-                    let deps = seg_dep[rank].into_iter().collect();
-                    let id = sim.compute(
+                    let dur = SimDuration::from_secs_f64(layer.cost.attention_secs(rank, flops));
+                    let id = sim.compute_after(
                         rank,
                         Stream::Compute,
                         dur,
-                        deps,
+                        seg_dep[rank].as_slice(),
                         Some(TraceInfo {
                             rank,
                             category: TraceCategory::AttentionCompute,
@@ -354,12 +406,10 @@ pub fn lower_layer(
             // Advance the per-rank ordering dependencies past this segment.
             for rank in 0..nranks {
                 if !seg_computes[rank].is_empty() {
-                    let m = sim.marker(seg_computes[rank].clone())?;
-                    seg_dep[rank] = Some(m);
+                    seg_dep[rank] = Some(sim.marker_after(&seg_computes[rank])?);
                 }
                 if !seg_sends[rank].is_empty() {
-                    let m = sim.marker(seg_sends[rank].clone())?;
-                    comm_dep[rank] = Some(m);
+                    comm_dep[rank] = Some(sim.marker_after(&seg_sends[rank])?);
                 }
             }
         }
@@ -367,11 +417,12 @@ pub fn lower_layer(
         // Attention-done barrier per rank.
         let mut attn_done: Vec<TaskId> = Vec::with_capacity(nranks);
         for rank in 0..nranks {
-            let mut deps = rank_attn[rank].clone();
-            if deps.is_empty() {
-                deps.extend(mb_entry[rank]);
-            }
-            attn_done.push(sim.marker(deps)?);
+            let barrier = if rank_attn[rank].is_empty() {
+                sim.marker_after(mb_entry[rank].as_slice())?
+            } else {
+                sim.marker_after(&rank_attn[rank])?
+            };
+            attn_done.push(barrier);
         }
 
         // Linear phase, optionally sandwiched by remap / inverse remap.
@@ -382,11 +433,11 @@ pub fn lower_layer(
         let remap_plan = if !plan.options.remapping {
             None
         } else {
-            match cost.speeds().filter(|_| aware) {
+            match layer.cost.speeds().filter(|_| aware) {
                 Some(s) => needs_remap_weighted(&attn_tokens, s, cfg.remap_slack)
-                    .then(|| plan_remap_weighted(&cluster, &attn_tokens, s)),
+                    .then(|| plan_remap_weighted(&layer.cluster, &attn_tokens, s)),
                 None => needs_remap(&attn_tokens, cfg.remap_slack)
-                    .then(|| plan_remap(&cluster, &attn_tokens)),
+                    .then(|| plan_remap(&layer.cluster, &attn_tokens)),
             }
         };
 
@@ -395,17 +446,17 @@ pub fn lower_layer(
         if let Some(rp) = &remap_plan {
             for m in &rp.moves {
                 let bytes = hidden_bytes(model, m.tokens) * dir.comm_scale();
-                let launch = sim.compute(
+                let launch = sim.compute_after(
                     m.from,
                     Stream::Comm(1),
                     SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                    vec![attn_done[m.from]],
+                    &[attn_done[m.from]],
                     None,
                 )?;
-                let flow = sim.transfer(
+                let flow = sim.transfer_after(
                     bytes,
-                    cluster.direct_path(m.from, m.to),
-                    vec![launch],
+                    &layer.cluster.direct_ports(m.from, m.to),
+                    &[launch],
                     Some(TraceInfo {
                         rank: m.from,
                         category: TraceCategory::Remap,
@@ -416,9 +467,9 @@ pub fn lower_layer(
                 out.remap_flows.push(flow);
             }
         }
-        let linear_tokens: Vec<u64> = match &remap_plan {
-            Some(rp) => rp.targets.clone(),
-            None => attn_tokens.clone(),
+        let linear_tokens: &[u64] = match &remap_plan {
+            Some(rp) => &rp.targets,
+            None => &attn_tokens,
         };
 
         // Linear compute per rank.
@@ -432,15 +483,16 @@ pub fn lower_layer(
                 * linear_flops_per_token(model)
                 * dir.flops_scale()
                 * cfg.moe_linear_factor;
-            let secs = cost.gemm_secs(rank, flops)
+            let secs = layer.cost.gemm_secs(rank, flops)
                 + cfg.tp_overhead_per_token * tokens as f64 * dir.flops_scale();
-            let mut deps = vec![attn_done[rank]];
-            deps.extend(inbound[rank].iter().copied());
-            let id = sim.compute(
+            join.clear();
+            join.push(attn_done[rank]);
+            join.extend_from_slice(&inbound[rank]);
+            let id = sim.compute_after(
                 rank,
                 Stream::Compute,
                 SimDuration::from_secs_f64(secs),
-                deps,
+                &join,
                 Some(TraceInfo {
                     rank,
                     category: TraceCategory::LinearCompute,
@@ -456,19 +508,17 @@ pub fn lower_layer(
         if let Some(rp) = &remap_plan {
             for m in &rp.moves {
                 let bytes = hidden_bytes(model, m.tokens) * dir.comm_scale();
-                let mut deps = Vec::new();
-                deps.extend(linear_ids[m.to]);
-                let launch = sim.compute(
+                let launch = sim.compute_after(
                     m.to,
                     Stream::Comm(1),
                     SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                    deps,
+                    linear_ids[m.to].as_slice(),
                     None,
                 )?;
-                let flow = sim.transfer(
+                let flow = sim.transfer_after(
                     bytes,
-                    cluster.direct_path(m.to, m.from),
-                    vec![launch],
+                    &layer.cluster.direct_ports(m.to, m.from),
+                    &[launch],
                     Some(TraceInfo {
                         rank: m.to,
                         category: TraceCategory::Remap,
@@ -483,13 +533,13 @@ pub fn lower_layer(
         // Exit marker per rank.
         let mut exits = Vec::with_capacity(nranks);
         for rank in 0..nranks {
-            let mut deps: Vec<TaskId> = Vec::new();
-            deps.extend(linear_ids[rank]);
-            deps.extend(inverse_in[rank].iter().copied());
-            if deps.is_empty() {
-                deps.push(attn_done[rank]);
+            join.clear();
+            join.extend(linear_ids[rank]);
+            join.extend_from_slice(&inverse_in[rank]);
+            if join.is_empty() {
+                join.push(attn_done[rank]);
             }
-            exits.push(sim.marker(deps)?);
+            exits.push(sim.marker_after(&join)?);
         }
         mb_entry = exits.iter().copied().map(Some).collect();
         out.exit = exits;
@@ -499,7 +549,7 @@ pub fn lower_layer(
     if out.exit.is_empty() {
         let mut exits = Vec::with_capacity(nranks);
         for rank in 0..nranks {
-            exits.push(sim.marker(mb_entry[rank].into_iter().collect())?);
+            exits.push(sim.marker_after(mb_entry[rank].as_slice())?);
         }
         out.exit = exits;
     }
@@ -517,26 +567,26 @@ pub fn lower_layer(
         let mut arrivals: Vec<Option<TaskId>> = vec![None; nranks];
         for src in 0..nranks {
             let dst = (src + 1) % nranks;
-            let deps: Vec<TaskId> = match cfg.grad_sync {
-                GradSync::Overlapped => entry[src].into_iter().collect(),
-                GradSync::Blocking => vec![out.exit[src]],
+            let after = match cfg.grad_sync {
+                GradSync::Overlapped => entry[src],
+                GradSync::Blocking => Some(out.exit[src]),
                 GradSync::Off => unreachable!("guarded above"),
             };
-            let launch = sim.compute(
+            let launch = sim.compute_after(
                 src,
                 Stream::Comm(2),
                 SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S),
-                deps,
+                after.as_slice(),
                 None,
             )?;
-            let completion = if !cluster.same_node(src, dst) {
+            let completion = if !layer.cluster.same_node(src, dst) {
                 // NCCL all-reduce stripes cross-node hops over all NICs.
-                lower_routed_transfer(sim, &cluster, cfg, src, dst, per_rank, launch, &mut out)?
+                lower_routed_transfer(sim, &mut layer, src, dst, per_rank, launch, &mut out)?
             } else {
-                let flow = sim.transfer(
+                let flow = sim.transfer_after(
                     per_rank,
-                    cluster.direct_path(src, dst),
-                    vec![launch],
+                    &layer.cluster.direct_ports(src, dst),
+                    &[launch],
                     Some(TraceInfo {
                         rank: src,
                         category: TraceCategory::Other,
@@ -550,9 +600,7 @@ pub fn lower_layer(
         }
         let mut exits = Vec::with_capacity(nranks);
         for rank in 0..nranks {
-            let mut deps = vec![out.exit[rank]];
-            deps.extend(arrivals[rank]);
-            exits.push(sim.marker(deps)?);
+            exits.push(sim.marker_after(&Deps::of([Some(out.exit[rank]), arrivals[rank]]))?);
         }
         out.exit = exits;
     }
@@ -563,52 +611,47 @@ pub fn lower_layer(
 /// (LoongTrain-style: KV rotates within the node for `m` steps, then the
 /// whole window hops to the next node — one cross-node hop per rank per
 /// node visited, all NICs at once, instead of per-round boundary
-/// crossings). Returns its compute tasks and its per-sender transfer
-/// completions.
-#[allow(clippy::too_many_arguments)]
+/// crossings), routing cross-node hops when `route` is set. Returns its
+/// compute tasks and its per-sender transfer completions.
 fn lower_ring_group(
     sim: &mut Simulator,
-    cfg: &ExecConfig,
-    cost: &CostModel,
-    dir: Direction,
-    plan: &IterationPlan,
+    layer: &mut Layer,
     group: &Group,
-    order: RingOrder,
-    pair: &[f64],
+    (order, pair, route): (RingOrder, &[f64], bool),
     (seg_dep, comm_dep): GroupDeps,
     out: &mut LayerOutcome,
 ) -> Result<GroupTasks, SimError> {
-    let cluster = sim.cluster().clone();
+    let dir = layer.dir;
     let ranks = &group.ranks;
     let g = ranks.len();
     let (round_tag, kv_label, kv_tag) = match order {
         RingOrder::Plain { .. } => ("r", "kv", "r"),
         RingOrder::NodeMajor { .. } => ("dr", "dr-kv", "t"),
     };
-    let mut computes: Vec<(Rank, TaskId)> = Vec::new();
-    let mut sends: Vec<(Rank, TaskId)> = Vec::new();
-    // Per-position previous-round compute and inbound transfer.
+    let mut computes: Vec<(Rank, TaskId)> = Vec::with_capacity(g * g);
+    let mut sends: Vec<(Rank, TaskId)> = Vec::with_capacity(2 * g * g);
+    // Per-position previous-round compute and inbound transfer, and the
+    // buffers the current round fills.
     let mut prev_compute: Vec<Option<TaskId>> = vec![None; g];
     let mut arrive: Vec<Option<TaskId>> = vec![None; g];
+    let mut this_compute: Vec<Option<TaskId>> = vec![None; g];
+    let mut new_arrive: Vec<Option<TaskId>> = vec![None; g];
 
     for r in 0..g {
         // Compute round r on every position.
-        let mut this_compute: Vec<TaskId> = Vec::with_capacity(g);
         for (p, &rank) in ranks.iter().enumerate() {
             let flops = pair[p * g + order.source(p, r)] * dir.flops_scale();
-            let dur = SimDuration::from_secs_f64(cost.attention_secs(rank, flops));
-            let mut deps: Vec<TaskId> = Vec::new();
-            if r == 0 {
-                deps.extend(seg_dep[rank]);
+            let dur = SimDuration::from_secs_f64(layer.cost.attention_secs(rank, flops));
+            let deps = if r == 0 {
+                Deps::of([seg_dep[rank], None])
             } else {
-                deps.extend(arrive[p]);
-                deps.extend(prev_compute[p]);
-            }
-            let id = sim.compute(
+                Deps::of([arrive[p], prev_compute[p]])
+            };
+            let id = sim.compute_after(
                 rank,
                 Stream::Compute,
                 dur,
-                deps,
+                &deps,
                 Some(TraceInfo {
                     rank,
                     category: TraceCategory::AttentionCompute,
@@ -617,14 +660,13 @@ fn lower_ring_group(
                         .with_tail(dir.label()),
                 }),
             )?;
-            this_compute.push(id);
+            this_compute[p] = Some(id);
             computes.push((rank, id));
         }
 
         // Send round-r KV onward (becomes round r+1 input), overlapping the
         // round-r compute; double-buffering gates on the receiver's r-1 use.
         if r + 1 < g {
-            let mut new_arrive: Vec<Option<TaskId>> = vec![None; g];
             for (p, &src) in ranks.iter().enumerate() {
                 let next = order.next(p, r);
                 let dst = ranks[next];
@@ -632,30 +674,32 @@ fn lower_ring_group(
                 // Send-recv semantics: both endpoints must post their
                 // kernel before data moves. Round-0 launches queue behind
                 // the previous queue segment's communication on each side.
-                let mut send_deps: Vec<TaskId> = Vec::new();
-                let mut recv_deps: Vec<TaskId> = Vec::new();
-                if r == 0 {
-                    send_deps.extend(comm_dep[src]);
-                    recv_deps.extend(comm_dep[dst]);
+                let (send_deps, recv_deps) = if r == 0 {
+                    (
+                        Deps::of([comm_dep[src], None]),
+                        Deps::of([comm_dep[dst], None]),
+                    )
                 } else {
-                    send_deps.extend(arrive[p]); // KV to forward has arrived.
-                    recv_deps.extend(arrive[next]); // Receiver's stream free.
-                    recv_deps.extend(prev_compute[next]); // Receive buffer free.
-                }
-                let launch = lower_send_recv_launch(sim, src, dst, send_deps, recv_deps)?;
+                    // KV to forward has arrived; the receiver's stream and
+                    // receive buffer are free.
+                    (
+                        Deps::of([arrive[p], None]),
+                        Deps::of([arrive[next], prev_compute[next]]),
+                    )
+                };
+                let launch = lower_send_recv_launch(sim, src, dst, &send_deps, &recv_deps)?;
                 let label = TraceLabel::new(kv_label)
                     .with_round(kv_tag, r)
                     .with_edge(src, dst);
-                let hop = (src, dst, bytes, launch);
-                let routing = plan.options.routing;
-                let completion = lower_hop(sim, &cluster, cfg, hop, routing, label, out)?;
+                let completion =
+                    lower_hop(sim, layer, (src, dst, bytes, launch), route, label, out)?;
                 new_arrive[next] = Some(completion);
                 sends.push((src, completion));
                 sends.push((dst, completion));
             }
-            arrive = new_arrive;
+            std::mem::swap(&mut arrive, &mut new_arrive);
         }
-        prev_compute = this_compute.into_iter().map(Some).collect();
+        std::mem::swap(&mut prev_compute, &mut this_compute);
     }
     Ok((computes, sends))
 }
@@ -666,27 +710,22 @@ fn lower_ring_group(
 /// Returns the completion.
 fn lower_hop(
     sim: &mut Simulator,
-    cluster: &ClusterSpec,
-    cfg: &ExecConfig,
+    layer: &mut Layer,
     (src, dst, bytes, launch): (Rank, Rank, f64, TaskId),
     route: bool,
     label: TraceLabel,
     out: &mut LayerOutcome,
 ) -> Result<TaskId, SimError> {
-    if route && !cluster.same_node(src, dst) {
-        return lower_routed_transfer(sim, cluster, cfg, src, dst, bytes, launch, out);
+    if route && !layer.cluster.same_node(src, dst) {
+        return lower_routed_transfer(sim, layer, src, dst, bytes, launch, out);
     }
     let info = TraceInfo {
         rank: src,
         category: TraceCategory::RingComm,
         label,
     };
-    let flow = sim.transfer(
-        bytes,
-        cluster.direct_path(src, dst),
-        vec![launch],
-        Some(info),
-    )?;
+    let path = layer.cluster.direct_ports(src, dst);
+    let flow = sim.transfer_after(bytes, &path, &[launch], Some(info))?;
     out.comm_tasks.push(flow);
     Ok(flow)
 }
@@ -698,46 +737,49 @@ fn lower_send_recv_launch(
     sim: &mut Simulator,
     src: Rank,
     dst: Rank,
-    send_deps: Vec<TaskId>,
-    recv_deps: Vec<TaskId>,
+    send_deps: &[TaskId],
+    recv_deps: &[TaskId],
 ) -> Result<TaskId, SimError> {
     let launch_time = SimDuration::from_secs_f64(COMM_LAUNCH_OVERHEAD_S);
-    let send_launch = sim.compute(src, Stream::Comm(0), launch_time, send_deps, None)?;
-    let recv_launch = sim.compute(dst, Stream::Comm(0), launch_time, recv_deps, None)?;
-    sim.marker(vec![send_launch, recv_launch])
+    let send_launch = sim.compute_after(src, Stream::Comm(0), launch_time, send_deps, None)?;
+    let recv_launch = sim.compute_after(dst, Stream::Comm(0), launch_time, recv_deps, None)?;
+    sim.marker_after(&[send_launch, recv_launch])
 }
 
-/// Lowers a routed inter-node transfer (three pipelined stages); returns a
-/// marker that completes when all data has been combined at `dst`.
-#[allow(clippy::too_many_arguments)]
+/// Lowers a routed inter-node transfer (three pipelined stages over the
+/// layer's proxy sets); returns a marker that completes when all data has
+/// been combined at `dst`.
 fn lower_routed_transfer(
     sim: &mut Simulator,
-    cluster: &ClusterSpec,
-    cfg: &ExecConfig,
+    layer: &mut Layer,
     src: Rank,
     dst: Rank,
     bytes: f64,
     launch: TaskId,
     out: &mut LayerOutcome,
 ) -> Result<TaskId, SimError> {
-    let routed = route_internode(cluster, src, dst, bytes);
+    let Layer {
+        cluster,
+        proxies,
+        cfg,
+        finals,
+        ..
+    } = layer;
     let chunks = cfg.routing_pipeline.max(1);
-    let mut finals: Vec<TaskId> = Vec::new();
-    for (dispatch, inter, combine) in &routed.shares {
+    let share = 1.0 / chunks as f64;
+    finals.clear();
+    for (dispatch, inter, combine) in proxies.route(src, dst, bytes) {
         let mut prev_stage1: Option<TaskId> = None;
         let mut prev_stage2: Option<TaskId> = None;
         let mut prev_stage3: Option<TaskId> = None;
         for _ in 0..chunks {
-            let share = 1.0 / chunks as f64;
             // Stage 1: dispatch (skipped when the source is its own proxy).
             let stage1 = match dispatch {
                 Some(d) => {
-                    let mut deps = vec![launch];
-                    deps.extend(prev_stage1);
-                    let t = sim.transfer(
+                    let t = sim.transfer_after(
                         d.bytes * share,
-                        cluster.direct_path(d.src, d.dst),
-                        deps,
+                        &cluster.direct_ports(d.src, d.dst),
+                        &Deps::of([Some(launch), prev_stage1]),
                         Some(TraceInfo {
                             rank: d.src,
                             category: TraceCategory::Dispatch,
@@ -751,12 +793,10 @@ fn lower_routed_transfer(
                 None => launch,
             };
             // Stage 2: the multi-NIC inter-node hop.
-            let mut deps = vec![stage1];
-            deps.extend(prev_stage2);
-            let stage2 = sim.transfer(
+            let stage2 = sim.transfer_after(
                 inter.bytes * share,
-                cluster.direct_path(inter.src, inter.dst),
-                deps,
+                &cluster.direct_ports(inter.src, inter.dst),
+                &Deps::of([Some(stage1), prev_stage2]),
                 Some(TraceInfo {
                     rank: inter.src,
                     category: TraceCategory::InterNode,
@@ -768,12 +808,10 @@ fn lower_routed_transfer(
             // Stage 3: combine at the destination.
             let last = match combine {
                 Some(c) => {
-                    let mut deps = vec![stage2];
-                    deps.extend(prev_stage3);
-                    let t = sim.transfer(
+                    let t = sim.transfer_after(
                         c.bytes * share,
-                        cluster.direct_path(c.src, c.dst),
-                        deps,
+                        &cluster.direct_ports(c.src, c.dst),
+                        &Deps::of([Some(stage2), prev_stage3]),
                         Some(TraceInfo {
                             rank: c.src,
                             category: TraceCategory::Combine,
@@ -789,74 +827,68 @@ fn lower_routed_transfer(
             finals.push(last);
         }
     }
-    sim.marker(finals)
+    sim.marker_after(finals)
 }
 
 /// Lowers one fused all-gather attention group (LLaMA CP); returns its
 /// compute tasks and per-sender transfer completions.
-#[allow(clippy::too_many_arguments)]
 fn lower_allgather_group(
     sim: &mut Simulator,
-    cfg: &ExecConfig,
-    cost: &CostModel,
-    dir: Direction,
+    layer: &mut Layer,
     group: &Group,
     flops: &[f64],
     (seg_dep, comm_dep): GroupDeps,
     out: &mut LayerOutcome,
 ) -> Result<GroupTasks, SimError> {
-    let cluster = sim.cluster().clone();
+    let dir = layer.dir;
     let ranks = &group.ranks;
     let g = ranks.len();
     let order = RingOrder::Plain { g };
     // Ring all-gather: g-1 rounds; each position forwards the chunk that
     // arrived last round. Track per-position inbound transfers.
     let mut arrive: Vec<Option<TaskId>> = vec![None; g];
+    let mut new_arrive: Vec<Option<TaskId>> = vec![None; g];
     let mut inbound: Vec<Vec<TaskId>> = vec![Vec::new(); g];
-    let mut sends: Vec<(Rank, TaskId)> = Vec::new();
+    let mut sends: Vec<(Rank, TaskId)> = Vec::with_capacity(2 * g * g);
     for r in 0..g.saturating_sub(1) {
-        let mut new_arrive: Vec<Option<TaskId>> = vec![None; g];
         for (p, &src) in ranks.iter().enumerate() {
             let next = order.next(p, r);
             let dst = ranks[next];
             let bytes = group.kv[order.source(p, r)] * dir.comm_scale();
-            let mut send_deps: Vec<TaskId> = Vec::new();
-            let mut recv_deps: Vec<TaskId> = Vec::new();
-            if r == 0 {
-                send_deps.extend(comm_dep[src]);
-                recv_deps.extend(comm_dep[dst]);
+            let (send_dep, recv_dep) = if r == 0 {
+                (comm_dep[src], comm_dep[dst])
             } else {
-                send_deps.extend(arrive[p]);
-                recv_deps.extend(arrive[next]);
-            }
-            let launch = lower_send_recv_launch(sim, src, dst, send_deps, recv_deps)?;
+                (arrive[p], arrive[next])
+            };
+            let launch =
+                lower_send_recv_launch(sim, src, dst, send_dep.as_slice(), recv_dep.as_slice())?;
             // NCCL all-gathers are multi-channel: cross-node hops stripe
             // over every NIC of the node (this is library behaviour, not
             // Zeppelin's routing layer — hence unconditional here).
             let label = TraceLabel::new("allgather")
                 .with_round("r", r)
                 .with_edge(src, dst);
-            let hop = (src, dst, bytes, launch);
-            let flow = lower_hop(sim, &cluster, cfg, hop, true, label, out)?;
+            let flow = lower_hop(sim, layer, (src, dst, bytes, launch), true, label, out)?;
             new_arrive[next] = Some(flow);
             inbound[next].push(flow);
             sends.push((src, flow));
             sends.push((dst, flow));
         }
-        arrive = new_arrive;
+        std::mem::swap(&mut arrive, &mut new_arrive);
     }
 
     // One local attention kernel per rank over the fully gathered KV.
     let mut computes = Vec::with_capacity(g);
     for (p, &rank) in ranks.iter().enumerate() {
-        let dur =
-            SimDuration::from_secs_f64(cost.attention_secs(rank, flops[p] * dir.flops_scale()));
-        let mut deps: Vec<TaskId> = inbound[p].clone();
+        let secs = layer
+            .cost
+            .attention_secs(rank, flops[p] * dir.flops_scale());
+        let deps = &mut inbound[p];
         deps.extend(seg_dep[rank]);
-        let id = sim.compute(
+        let id = sim.compute_after(
             rank,
             Stream::Compute,
-            dur,
+            SimDuration::from_secs_f64(secs),
             deps,
             Some(TraceInfo {
                 rank,
@@ -873,19 +905,16 @@ fn lower_allgather_group(
 /// layout, one balanced full-sequence attention kernel per rank, all-to-all
 /// back. Both collectives sit on the critical path, but their traffic is
 /// spread across every rank pair (and thus every NIC).
-#[allow(clippy::too_many_arguments)]
 fn lower_ulysses_group(
     sim: &mut Simulator,
     model: &ModelConfig,
-    cfg: &ExecConfig,
-    cost: &CostModel,
-    dir: Direction,
+    layer: &mut Layer,
     group: &Group,
     flops: f64,
     (seg_dep, comm_dep): GroupDeps,
     out: &mut LayerOutcome,
 ) -> Result<GroupTasks, SimError> {
-    let cluster = sim.cluster().clone();
+    let dir = layer.dir;
     let ranks = &group.ranks;
     let g = ranks.len();
     let h_bytes = model.hidden as f64 * model.dtype_bytes as f64;
@@ -894,6 +923,7 @@ fn lower_ulysses_group(
 
     // All-to-all #1: QKV from sequence-sharded to head-sharded layout.
     let a2a = |sim: &mut Simulator,
+               layer: &mut Layer,
                out: &mut LayerOutcome,
                sends: &mut Vec<(Rank, TaskId)>,
                per_pair_bytes: &dyn Fn(usize) -> f64,
@@ -907,13 +937,13 @@ fn lower_ulysses_group(
                     continue;
                 }
                 let (src, dst) = (ranks[p], ranks[q]);
-                let mut send_deps: Vec<TaskId> = comm_dep[src].into_iter().collect();
-                send_deps.extend(gate(p));
-                let recv_deps: Vec<TaskId> = comm_dep[dst].into_iter().collect();
-                let launch = lower_send_recv_launch(sim, src, dst, send_deps, recv_deps)?;
+                let send_deps = Deps::of([comm_dep[src], gate(p)]);
+                let recv_deps = comm_dep[dst];
+                let launch =
+                    lower_send_recv_launch(sim, src, dst, &send_deps, recv_deps.as_slice())?;
                 let hop = (src, dst, per_pair_bytes(p), launch);
                 let label = TraceLabel::new(label).with_edge(src, dst);
-                let flow = lower_hop(sim, &cluster, cfg, hop, false, label, out)?;
+                let flow = lower_hop(sim, layer, hop, false, label, out)?;
                 inbound[q].push(flow);
                 sends.push((src, flow));
                 sends.push((dst, flow));
@@ -923,17 +953,25 @@ fn lower_ulysses_group(
     };
 
     let qkv_bytes = |p: usize| 3.0 * shard_tokens[p] as f64 * h_bytes / g as f64 * dir.comm_scale();
-    let inbound1 = a2a(sim, out, &mut sends, &qkv_bytes, &|_| None, "a2a-qkv")?;
+    let mut inbound1 = a2a(
+        sim,
+        layer,
+        out,
+        &mut sends,
+        &qkv_bytes,
+        &|_| None,
+        "a2a-qkv",
+    )?;
 
     // Head-parallel attention: each rank computes the full causal pattern
     // for heads/G heads — perfectly balanced by construction.
     let flops = flops * dir.flops_scale();
     let mut compute_ids: Vec<TaskId> = Vec::with_capacity(g);
     for (p, &rank) in ranks.iter().enumerate() {
-        let dur = SimDuration::from_secs_f64(cost.attention_secs(rank, flops));
-        let mut deps: Vec<TaskId> = inbound1[p].clone();
+        let dur = SimDuration::from_secs_f64(layer.cost.attention_secs(rank, flops));
+        let deps = &mut inbound1[p];
         deps.extend(seg_dep[rank]);
-        let id = sim.compute(
+        let id = sim.compute_after(
             rank,
             Stream::Compute,
             dur,
@@ -954,24 +992,18 @@ fn lower_ulysses_group(
         // output slice; per-pair share mirrors a2a#1's with one tensor.
         shard_tokens[q] as f64 * h_bytes / g as f64 * dir.comm_scale()
     };
-    let compute_gate = compute_ids.clone();
-    let inbound2 = a2a(
-        sim,
-        out,
-        &mut sends,
-        &out_bytes,
-        &|p| Some(compute_gate[p]),
-        "a2a-out",
-    )?;
+    let gate = |p: usize| Some(compute_ids[p]);
+    let inbound2 = a2a(sim, layer, out, &mut sends, &out_bytes, &gate, "a2a-out")?;
 
     // A rank's attention output is complete once its compute finished and
     // its output shards arrived.
     let mut computes = Vec::with_capacity(g);
+    let mut deps: Vec<TaskId> = Vec::with_capacity(g);
     for (p, &rank) in ranks.iter().enumerate() {
-        let mut deps = vec![compute_ids[p]];
-        deps.extend(inbound2[p].iter().copied());
-        let done = sim.marker(deps)?;
-        computes.push((rank, done));
+        deps.clear();
+        deps.push(compute_ids[p]);
+        deps.extend_from_slice(&inbound2[p]);
+        computes.push((rank, sim.marker_after(&deps)?));
     }
     Ok((computes, sends))
 }
@@ -1358,6 +1390,75 @@ mod tests {
             weighted < uniform,
             "speed-matched weights {weighted} should beat uniform {uniform}"
         );
+    }
+
+    #[test]
+    fn routed_stages_match_route_internode_per_hop() {
+        use zeppelin_baselines::LlamaCp;
+        use zeppelin_core::routing::route_internode;
+        use zeppelin_core::scheduler::{Scheduler, SchedulerCtx};
+        use zeppelin_data::batch::Batch;
+        use zeppelin_sim::topology::Port;
+
+        // Cluster A shares each NIC between two GPUs; folded at tp=2 it has
+        // four workers per node and one NIC each, so its proxy sets differ.
+        let model = llama_3b();
+        let cfg = ExecConfig::default();
+        let dir = Direction::Backward;
+        let chunks = cfg.routing_pipeline;
+        for cluster in [cluster_a(2), crate::tp::fold_tp(&cluster_a(2), 2).unwrap()] {
+            let ctx = SchedulerCtx::new(&cluster, &model);
+            let batch = Batch::new(vec![20_000, 9_000, 3_000, 700]);
+            let plan = LlamaCp::new().plan(&batch, &ctx).unwrap();
+            let mut sim = Simulator::new(&cluster);
+            let entry = vec![None; cluster.total_gpus()];
+            let out = lower_layer(&mut sim, &model, &plan, &cfg, dir, &entry).unwrap();
+
+            // Replay the all-gather's hops in launch order, routing each
+            // cross-node hop afresh.
+            let fusion = Fusion::new(&plan, &model, &cluster);
+            let [group] = &fusion.groups[..] else {
+                panic!("LLaMA CP runs one all-gather group")
+            };
+            let (ranks, g) = (&group.ranks, group.ranks.len());
+            let mut want: Vec<(f64, Vec<Port>)> = Vec::new();
+            let mut routed = 0;
+            for r in 0..g - 1 {
+                for p in 0..g {
+                    let (src, dst) = (ranks[p], ranks[(p + 1) % g]);
+                    let bytes = group.kv[(p + g - r) % g] * dir.comm_scale();
+                    if cluster.same_node(src, dst) {
+                        want.push((bytes, cluster.direct_path(src, dst)));
+                        continue;
+                    }
+                    routed += 1;
+                    for (d, i, c) in route_internode(&cluster, src, dst, bytes).shares {
+                        for _ in 0..chunks {
+                            for f in [d, Some(i), c].into_iter().flatten() {
+                                let share = f.bytes * (1.0 / chunks as f64);
+                                want.push((share, cluster.direct_path(f.src, f.dst)));
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(routed > 0, "{}", cluster.name);
+            let got: Vec<(f64, Vec<Port>)> = out
+                .comm_tasks
+                .iter()
+                .map(|&t| sim.transfer_of(t).expect("a transfer"))
+                .collect();
+            assert_eq!(got.len(), want.len(), "{}", cluster.name);
+            for (k, (got, want)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    got.0.to_bits(),
+                    want.0.to_bits(),
+                    "{} stage {k}",
+                    cluster.name
+                );
+                assert_eq!(got.1, want.1, "{} stage {k}", cluster.name);
+            }
+        }
     }
 
     #[test]

@@ -326,13 +326,12 @@ impl Simulator {
     }
 
     /// Adds a compute task occupying `(rank, stream)` for `duration` once
-    /// `deps` complete, and returns its id.
+    /// `deps` complete, and returns its id. Forwards to
+    /// [`Simulator::compute_after`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownDependency`] if a dependency id is not
-    /// smaller than the new task's id (forward references are how cycles
-    /// would sneak in).
+    /// As for [`Simulator::compute_after`].
     pub fn compute(
         &mut self,
         rank: Rank,
@@ -341,8 +340,28 @@ impl Simulator {
         deps: Vec<TaskId>,
         trace: Option<TraceInfo>,
     ) -> Result<TaskId, SimError> {
+        self.compute_after(rank, stream, duration, &deps, trace)
+    }
+
+    /// Adds a compute task occupying `(rank, stream)` for `duration` once
+    /// `deps` complete, and returns its id. The dependencies are copied
+    /// into the link arena, so callers can pass arrays or reused buffers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownDependency`] if a dependency id is not
+    /// smaller than the new task's id (forward references are how cycles
+    /// would sneak in).
+    pub fn compute_after(
+        &mut self,
+        rank: Rank,
+        stream: Stream,
+        duration: SimDuration,
+        deps: &[TaskId],
+        trace: Option<TraceInfo>,
+    ) -> Result<TaskId, SimError> {
         let rank = narrow(rank, "rank")?;
-        let links = self.link_deps(&deps, trace.as_ref())?;
+        let links = self.link_deps(deps, trace.as_ref())?;
         let op = Op::Compute {
             rank,
             stream,
@@ -352,14 +371,12 @@ impl Simulator {
     }
 
     /// Adds a transfer of `bytes` over the port `path` once `deps`
-    /// complete, and returns its id. A port listed twice counts once.
+    /// complete, and returns its id. Forwards to
+    /// [`Simulator::transfer_after`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownDependency`] as for
-    /// [`Simulator::compute`], [`SimError::EmptyFlowPath`] for a path with
-    /// no ports, and [`SimError::PhantomPort`] for a port outside the
-    /// cluster.
+    /// As for [`Simulator::transfer_after`].
     pub fn transfer(
         &mut self,
         bytes: f64,
@@ -367,13 +384,32 @@ impl Simulator {
         deps: Vec<TaskId>,
         trace: Option<TraceInfo>,
     ) -> Result<TaskId, SimError> {
-        let links = self.link_deps(&deps, trace.as_ref())?;
+        self.transfer_after(bytes, &path, &deps, trace)
+    }
+
+    /// Adds a transfer of `bytes` over the port `path` once `deps`
+    /// complete, and returns its id. A port listed twice counts once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownDependency`] as for
+    /// [`Simulator::compute_after`], [`SimError::EmptyFlowPath`] for a path
+    /// with no ports, and [`SimError::PhantomPort`] for a port outside the
+    /// cluster.
+    pub fn transfer_after(
+        &mut self,
+        bytes: f64,
+        path: &[Port],
+        deps: &[TaskId],
+        trace: Option<TraceInfo>,
+    ) -> Result<TaskId, SimError> {
+        let links = self.link_deps(deps, trace.as_ref())?;
         let task = self.tasks.len();
         if path.is_empty() {
             self.links.truncate(links as usize);
             return Err(SimError::EmptyFlowPath { task });
         }
-        for &port in &path {
+        for &port in path {
             let Some(id) = self.cluster.port_id(port) else {
                 self.links.truncate(links as usize);
                 return Err(SimError::PhantomPort { task, port });
@@ -384,14 +420,37 @@ impl Simulator {
     }
 
     /// Adds a zero-cost marker joining `deps`, and returns its id.
+    /// Forwards to [`Simulator::marker_after`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Simulator::marker_after`].
+    pub fn marker(&mut self, deps: Vec<TaskId>) -> Result<TaskId, SimError> {
+        self.marker_after(&deps)
+    }
+
+    /// Adds a zero-cost marker joining `deps`, and returns its id.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownDependency`] as for
-    /// [`Simulator::compute`].
-    pub fn marker(&mut self, deps: Vec<TaskId>) -> Result<TaskId, SimError> {
-        let links = self.link_deps(&deps, None)?;
+    /// [`Simulator::compute_after`].
+    pub fn marker_after(&mut self, deps: &[TaskId]) -> Result<TaskId, SimError> {
+        let links = self.link_deps(deps, None)?;
         Ok(self.push(Op::Marker, links, deps.len(), None))
+    }
+
+    /// The bytes and port path of transfer `id`, or `None` when `id` is a
+    /// compute task, a marker, or not a task of this simulator.
+    pub fn transfer_of(&self, id: TaskId) -> Option<(f64, Vec<Port>)> {
+        let Op::Transfer { bytes } = self.tasks.get(id.0)?.op else {
+            return None;
+        };
+        let path = self.links_of(id.0).1;
+        Some((
+            bytes,
+            path.iter().map(|&p| self.cluster.port_at(p)).collect(),
+        ))
     }
 
     /// Runs the DAG to completion on healthy hardware.

@@ -34,6 +34,22 @@ pub enum Port {
     NicRx(usize),
 }
 
+/// A direct GPU-to-GPU port path held inline ([`ClusterSpec::direct_ports`]):
+/// two ports within a node, four across nodes. Dereferences to the ports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirectPath {
+    ports: [Port; 4],
+    len: u8,
+}
+
+impl std::ops::Deref for DirectPath {
+    type Target = [Port];
+
+    fn deref(&self) -> &[Port] {
+        &self.ports[..usize::from(self.len)]
+    }
+}
+
 /// Per-GPU hardware characteristics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
@@ -292,7 +308,17 @@ impl ClusterSpec {
         }
     }
 
-    /// Port path for a direct GPU-to-GPU transfer.
+    /// Port path for a direct GPU-to-GPU transfer, as a `Vec`. Forwards
+    /// to [`ClusterSpec::direct_ports`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src == dst`.
+    pub fn direct_path(&self, src: Rank, dst: Rank) -> Vec<Port> {
+        self.direct_ports(src, dst).to_vec()
+    }
+
+    /// Port path for a direct GPU-to-GPU transfer, held inline.
     ///
     /// Intra-node transfers traverse the sender's fabric egress and the
     /// receiver's ingress. Inter-node transfers go through each side's PCIe
@@ -303,17 +329,24 @@ impl ClusterSpec {
     ///
     /// Panics if `src == dst`; a self-transfer has no path and indicates a
     /// planning bug.
-    pub fn direct_path(&self, src: Rank, dst: Rank) -> Vec<Port> {
+    pub fn direct_ports(&self, src: Rank, dst: Rank) -> DirectPath {
         assert_ne!(src, dst, "self-transfer has no network path");
         if self.same_node(src, dst) {
-            vec![Port::NvlinkOut(src), Port::NvlinkIn(dst)]
+            let (out, inp) = (Port::NvlinkOut(src), Port::NvlinkIn(dst));
+            DirectPath {
+                ports: [out, inp, out, inp],
+                len: 2,
+            }
         } else {
-            vec![
-                Port::PcieOut(src),
-                Port::NicTx(self.nic_of(src)),
-                Port::NicRx(self.nic_of(dst)),
-                Port::PcieIn(dst),
-            ]
+            DirectPath {
+                ports: [
+                    Port::PcieOut(src),
+                    Port::NicTx(self.nic_of(src)),
+                    Port::NicRx(self.nic_of(dst)),
+                    Port::PcieIn(dst),
+                ],
+                len: 4,
+            }
         }
     }
 
