@@ -417,7 +417,7 @@ fn main() {
         "every request (stream + barrage) served a plan"
     );
     assert_eq!(m.errors, 0, "no request errored");
-    assert_eq!(m.worker_respawns, 0, "no worker died");
+    assert_eq!(m.worker_respawns, 0, "no panic escaped containment");
     if args.conns >= 2 {
         assert!(
             m.coalesced >= 1,

@@ -23,7 +23,7 @@ pub enum Zone {
 }
 
 /// How a multi-rank attention group exchanges KV activations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AttnMode {
     /// Ring attention: G rounds of send-receive overlapped with compute.
     Ring,
@@ -50,7 +50,7 @@ pub enum AttnMode {
 /// declare per-position speed `weights` and chunks are cut
 /// speed-proportionally (§3.2 extended; see
 /// [`RingGeometry`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SeqPlacement {
     /// Index of the sequence in the input batch (or a synthetic id for
     /// packed segments).

@@ -23,7 +23,7 @@
 //! structurally sound, because they index by rank and micro-batch — the
 //! auditor itself must never panic on hostile input.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use zeppelin_data::batch::Batch;
 use zeppelin_sim::topology::Rank;
@@ -343,7 +343,7 @@ pub fn structural_violations(plan: &IterationPlan) -> Vec<PlanViolation> {
     } else if !(0.0..=1.0).contains(&frac) {
         out.push(PlanViolation::FractionOutOfRange { value: frac });
     }
-    let mut seen = BTreeSet::new();
+    let mut seen = HashSet::with_capacity(plan.placements.len());
     for p in &plan.placements {
         if p.ranks.is_empty() {
             out.push(PlanViolation::EmptyRankList {
@@ -393,7 +393,7 @@ pub fn structural_violations(plan: &IterationPlan) -> Vec<PlanViolation> {
         }
         // Exact duplicates double-count work; fragments of one sequence
         // legitimately share a seq_index but differ in ranks or length.
-        if !seen.insert(format!("{p:?}")) {
+        if !seen.insert(p) {
             out.push(PlanViolation::DuplicatePlacement {
                 seq_index: p.seq_index,
                 micro_batch: p.micro_batch,
@@ -804,6 +804,42 @@ mod tests {
             placement(0, 60, vec![0], Zone::Local),
         ]);
         assert!(structural_violations(&plan).is_empty());
+    }
+
+    #[test]
+    fn duplicates_match_every_field_of_a_placement() {
+        let duplicates = |plan: &IterationPlan| {
+            structural_violations(plan)
+                .iter()
+                .filter(|v| matches!(v, PlanViolation::DuplicatePlacement { .. }))
+                .count()
+        };
+        let base = SeqPlacement {
+            weights: vec![2, 1],
+            ..placement(3, 900, vec![0, 1], Zone::IntraNode)
+        };
+        let mut plan = plan_of(vec![base.clone(), base.clone(), base.clone()]);
+        assert_eq!(
+            duplicates(&plan),
+            2,
+            "each repeat of a placement is flagged"
+        );
+
+        let reweighted = SeqPlacement {
+            weights: vec![1, 2],
+            ..base.clone()
+        };
+        let reordered = SeqPlacement {
+            ranks: vec![1, 0],
+            ..base.clone()
+        };
+        let later = SeqPlacement {
+            micro_batch: 1,
+            ..base.clone()
+        };
+        plan = plan_of(vec![base, reweighted, reordered, later]);
+        plan.micro_batches = 2;
+        assert_eq!(duplicates(&plan), 0);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! 1. every fault resolves **typed** — an error response with a machine
 //!    code, a degraded plan, or a clean close — within the SLO; nothing
 //!    hangs;
-//! 2. the worker pool never shrinks: after the storm, every worker answers
-//!    a concurrent liveness probe;
-//! 3. the server recovers: a clean post-chaos request is served `ok` with
-//!    `degraded: false` within the SLO.
+//! 2. serving capacity never shrinks: after the storm, `workers` held
+//!    connections all answer a concurrent liveness probe;
+//! 3. the server recovers: a clean post-chaos request, which needs a job
+//!    permit, is served `ok` with `degraded: false` within the SLO, so no
+//!    permit leaked.
 //!
 //! Planner faults are injected through [`PlannerChaos`], a queue the server
 //! consumes at the top of each *primary* planner run. When admission control
@@ -171,7 +172,7 @@ pub enum ServeFault {
     },
     /// An injected planner panic: the server must answer a typed
     /// `worker_panicked` (or serve degraded if the planner was bypassed)
-    /// and keep the worker.
+    /// and get the job's permit back.
     PlannerPanic {
         /// Sequence lengths (unique per event, as above).
         seqs: Vec<u64>,
@@ -593,7 +594,7 @@ impl ChaosReport {
         }
         out.push_str(&format!(
             "  recovery: ok={} degraded={} in {}ms; workers {}/{} alive; \
-             panics={} respawns={} shed={} degraded_served={} deadline_exceeded={}\n",
+             panics={} escaped_panics={} shed={} degraded_served={} deadline_exceeded={}\n",
             self.recovered_ok,
             self.recovered_degraded,
             self.recovery_ms,
@@ -705,7 +706,7 @@ fn run_event(addr: &std::net::SocketAddr, ev: &ServeFault) -> EventResolution {
             let _ = s.write_all(prefix);
             let _ = s.flush();
             // Drop without a newline: the server sees a truncated frame and
-            // must close its side without burning a worker.
+            // must close its side without holding a thread or a permit.
             drop(s);
             EventResolution::Closed
         }
@@ -897,12 +898,12 @@ pub fn run_chaos(schedule: &ServeFaultSchedule) -> std::io::Result<ChaosReport> 
         });
     }
 
-    // Worker-liveness probe: one concurrent held connection per configured
-    // worker, all answering a stats request. The probe's read timeout is
-    // *shorter* than the server's idle timeout on purpose: a lone surviving
-    // worker can only pick up the next held connection after idling out the
-    // previous one, so hung workers surface as probe timeouts instead of
-    // being masked by sequential service.
+    // Liveness probe: one concurrent held connection per job permit, all
+    // answering a stats request. The probe's read timeout is *shorter* than
+    // the server's idle timeout on purpose: were connections served one
+    // after another, the next held connection would be picked up only
+    // after the previous one idled out, so a hung server surfaces as probe
+    // timeouts instead of being masked by sequential service.
     let probe_timeout = Duration::from_millis(1_000);
     let mut probes = Vec::new();
     for _ in 0..workers_configured {
@@ -931,8 +932,8 @@ pub fn run_chaos(schedule: &ServeFaultSchedule) -> std::io::Result<ChaosReport> 
             }
             _ => {}
         }
-        // Connections drop here, freeing their workers one by one — the
-        // probe counts how many answered while all were held open.
+        // Connections drop here one by one — the probe counts how many
+        // answered while all were held open.
     }
     if workers_alive != workers_configured {
         violations.push(format!(
@@ -979,10 +980,10 @@ pub fn run_chaos(schedule: &ServeFaultSchedule) -> std::io::Result<ChaosReport> 
         .join()
         .map_err(|_| std::io::Error::other("server thread panicked"))??;
     if server.metrics.worker_respawns > 0 {
-        // Respawns mean a panic escaped request containment — the backstop
-        // held, but the containment invariant did not.
+        // The connection backstop held, but the containment invariant did
+        // not.
         violations.push(format!(
-            "{} worker respawn(s): a panic escaped request containment",
+            "{} panic(s) escaped request containment",
             server.metrics.worker_respawns
         ));
     }

@@ -17,10 +17,10 @@
 //!   codes, built on `zeppelin_core::plan_io`'s JSON;
 //! - [`frame`]: bounded, resynchronizing line framing that survives
 //!   oversized lines, dribbled bytes, and read timeouts;
-//! - [`server`]: the TCP front-end — one blocking thread per connection
-//!   feeding a bounded worker pool, with queue-depth backpressure,
-//!   per-request panic containment, deadline propagation, and graceful
-//!   bounded-grace drain;
+//! - [`server`]: the TCP front-end — one blocking thread per connection,
+//!   each running its own plan jobs behind a bounded FIFO job gate, with
+//!   waiting-room backpressure, per-request panic containment, deadline
+//!   propagation, and graceful bounded-grace drain;
 //! - [`admission`]: the load-shedding gate over in-flight planner time
 //!   and the circuit breaker that short-circuit misses to degraded mode;
 //! - [`chaos`]: the seeded fault harness — deterministic adversarial
@@ -68,6 +68,7 @@ pub mod canonical;
 pub mod chaos;
 pub mod client;
 pub mod frame;
+mod gate;
 pub mod metrics;
 pub mod pipeline;
 pub mod protocol;

@@ -1,10 +1,10 @@
 //! Service metrics: request counters, cache effectiveness, fault-discipline
 //! counters (shed / degraded / panicked / deadline-exceeded), and planning
-//! latency percentiles, shared across worker threads.
+//! latency percentiles, shared across the server's threads.
 //!
-//! The sink is sharded: each worker records into its own mutex-guarded shard
-//! (see [`ServiceMetrics::shard`]), so the hot cached-plan path never
-//! serializes every worker through one global metrics lock. Shards are
+//! The sink is sharded: each job permit records into its own mutex-guarded
+//! shard (see [`ServiceMetrics::shard`]), so the hot cached-plan path never
+//! serializes every running job through one global metrics lock. Shards are
 //! merged — counters summed, latency reservoirs concatenated — only when a
 //! [`ServiceMetrics::snapshot`] is taken for a `stats` request or the final
 //! server report.
@@ -61,7 +61,8 @@ pub struct MetricsSnapshot {
     pub stats_requests: u64,
     /// Malformed or failed requests.
     pub errors: u64,
-    /// Connections rejected by queue-depth backpressure.
+    /// Connections refused at the connection limit, and jobs refused
+    /// while the job gate's waiting room was full.
     pub rejected: u64,
     /// Cache misses shed by the admission gate (answered degraded).
     pub shed: u64,
@@ -70,10 +71,11 @@ pub struct MetricsSnapshot {
     pub degraded: u64,
     /// Requests whose deadline expired before the response could ship.
     pub deadline_exceeded: u64,
-    /// Panics contained by a worker while serving a request.
+    /// Panics contained while serving a request.
     pub worker_panics: u64,
-    /// Worker threads re-entered after an uncontained panic escaped the
-    /// request handler (the pool's capacity backstop).
+    /// Panics that escaped request containment and ended their connection
+    /// (caught by the connection thread's backstop). Any nonzero count is
+    /// a containment bug; the name predates the connection-thread server.
     pub worker_respawns: u64,
     /// Times the circuit breaker tripped open.
     pub breaker_trips: u64,
@@ -87,7 +89,7 @@ pub struct MetricsSnapshot {
     /// Requests served by joining another request's in-flight planner run
     /// (single-flight followers).
     pub coalesced: u64,
-    /// Jobs waiting for a worker right now.
+    /// Jobs waiting for a job permit right now.
     pub queue_depth: usize,
     /// Median planning latency over the recent reservoir, microseconds.
     pub p50_us: u64,
@@ -118,8 +120,8 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 
 /// A recording handle pinned to one shard of a [`ServiceMetrics`].
 ///
-/// Cheap to copy; each worker thread holds its own so recording on the hot
-/// path contends only with snapshots, never with the other workers.
+/// Cheap to copy; each running job holds its permit's own so recording on
+/// the hot path contends only with snapshots, never with the other jobs.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricsShard<'a> {
     metrics: &'a ServiceMetrics,
@@ -199,9 +201,9 @@ impl ServiceMetrics {
         self.shard(0).record_worker_panic();
     }
 
-    /// Records a worker re-entering its loop after an escaped panic.
-    pub fn record_worker_respawn(&self) {
-        self.shard(0).record_worker_respawn();
+    /// Records a panic that escaped request containment.
+    pub fn record_escaped_panic(&self) {
+        self.shard(0).record_escaped_panic();
     }
 
     /// Records the circuit breaker tripping open.
@@ -229,7 +231,7 @@ impl ServiceMetrics {
         self.shard(0).record_coalesced();
     }
 
-    /// Adjusts the queue-depth gauge as jobs enqueue/dequeue.
+    /// Sets the gauge of jobs waiting for a job permit.
     pub fn set_queue_depth(&self, depth: usize) {
         self.queue_depth.store(depth, Ordering::Relaxed);
     }
@@ -326,8 +328,8 @@ impl MetricsShard<'_> {
             .with_inner(self.shard, |m| m.worker_panics += 1);
     }
 
-    /// Records a worker re-entering its loop after an escaped panic.
-    pub fn record_worker_respawn(&self) {
+    /// Records a panic that escaped request containment.
+    pub fn record_escaped_panic(&self) {
         self.metrics
             .with_inner(self.shard, |m| m.worker_respawns += 1);
     }
@@ -420,7 +422,7 @@ mod tests {
         m.record_degraded();
         m.record_deadline_exceeded();
         m.record_worker_panic();
-        m.record_worker_respawn();
+        m.record_escaped_panic();
         m.record_breaker_trip();
         m.record_slow_client();
         m.record_shutting_down();

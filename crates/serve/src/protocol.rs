@@ -82,12 +82,13 @@ pub enum ErrorCode {
     PlanFailed,
     /// The served or audited plan failed the audit layer.
     AuditFailed,
-    /// Backpressure: the connection queue was full at accept time.
+    /// Backpressure: the connection limit was reached, or too many jobs
+    /// already wait for a job permit.
     Overloaded,
     /// The request's deadline expired before the response could ship.
     DeadlineExceeded,
     /// The planner panicked while serving this request; the panic was
-    /// contained and the worker pool is intact.
+    /// contained and the server is intact.
     WorkerPanicked,
     /// The server is draining; the request arrived past the grace period.
     ShuttingDown,

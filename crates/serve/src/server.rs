@@ -1,28 +1,29 @@
-//! The TCP front-end: one blocking thread per connection feeding a bounded
-//! planner-worker pool, serving line-delimited JSON plan requests out of
-//! the sharded canonicalizing cache with single-flight coalescing — and the
-//! fault discipline of a service that sits on a training hot path.
+//! The TCP front-end: one blocking thread per connection, serving
+//! line-delimited JSON plan requests out of the sharded canonicalizing
+//! cache with single-flight coalescing — and the fault discipline of a
+//! service that sits on a training hot path.
 //!
 //! Architecture: [`Server::run`] accepts in blocking mode and gives each
 //! connection a scoped thread that blocks in `read` on a [`FrameReader`],
-//! so a request is seen the moment its bytes arrive. Connection threads
-//! never plan: `plan` and `audit` requests become jobs on a bounded queue
-//! drained by `workers` planner threads, and a worker hands each finished
-//! job back through the connection's reply slot, so the reply is written
-//! the moment planning ends. Cheap requests (`stats`, `shutdown`, parse
-//! errors) are answered on the connection thread. A connection serves one
+//! so a request is seen the moment its bytes arrive. The thread runs each
+//! `plan` or `audit` job itself once it holds a job permit, so the reply
+//! is written the moment planning ends; cheap requests (`stats`,
+//! `shutdown`, parse errors) need no permit. A connection serves one
 //! request at a time, so pipelined requests are answered in order.
 //!
 //! Contention discipline, per layer:
 //!
+//! - **Job gate**: at most [`ServerConfig::workers`] jobs run at once and
+//!   at most [`ServerConfig::max_queue`] wait, woken one at a time in
+//!   arrival order; one more is refused with a typed `overloaded` error.
 //! - **Sharded cache**: the plan cache is a [`ShardedPlanCache`] — shard
 //!   chosen by the high bits of the precomputed key digest, so concurrent
-//!   workers on distinct keys never meet on one mutex.
+//!   jobs on distinct keys never meet on one mutex.
 //! - **Single-flight coalescing**: concurrent misses on one key join a
 //!   [`FlightTable`] flight; one leader runs the planner (charged once to
 //!   the admission gate) and fans the shared `Arc` plan out to every
 //!   follower, each still bounded by its own deadline.
-//! - **Sharded metrics**: each worker records into its own metrics shard;
+//! - **Sharded metrics**: a job records into its permit's metrics shard;
 //!   shards merge only when a `stats` snapshot is taken.
 //!
 //! Fault discipline, per request (the seeded chaos harness runs against
@@ -38,27 +39,27 @@
 //!   lines (`frame_oversized`); idle connections close after
 //!   [`ServerConfig::idle_timeout_ms`], and a client that stops reading is
 //!   dropped after [`ServerConfig::write_timeout_ms`] — no client behavior
-//!   can pin a connection thread or a worker.
+//!   can pin a connection thread, and no write holds a permit.
 //! - **Panic containment**: planner runs and whole jobs run under
 //!   `catch_unwind`; a panic is answered with a typed `worker_panicked`
-//!   error and the pool survives, with a worker-loop respawn backstop so
-//!   capacity never decays.
+//!   error, and the permit's drop guard returns it to the gate, so
+//!   capacity never decays. A panic that escapes a job ends only its
+//!   connection and is counted (`worker_respawns`, a containment bug).
 //! - **Admission control + degraded mode**: cache misses pass a
 //!   load-shedding [`AdmissionGate`] over estimated in-flight planner time
 //!   and a [`CircuitBreaker`] over consecutive planner failures; shed or
 //!   short-circuited misses are answered by the fast fallback scheduler
 //!   (`degraded: true`) instead of queueing behind a sick planner.
 //! - **Graceful drain**: `shutdown` starts a bounded grace period during
-//!   which queued and in-flight requests are served normally; stragglers
-//!   past the grace get a typed `shutting_down` error, never a silently
-//!   dropped connection.
+//!   which waiting and running jobs are served normally; stragglers past
+//!   the grace get a typed `shutting_down` error, never a silently dropped
+//!   connection.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
@@ -72,6 +73,7 @@ use crate::cache::{CacheStats, CachedPlan, PlanKey, ShardedPlanCache};
 use crate::canonical::CanonicalBatch;
 use crate::chaos::PlannerChaos;
 use crate::frame::{Frame, FrameError, FrameReader, MAX_FRAME_BYTES};
+use crate::gate::JobGate;
 use crate::metrics::{MetricsShard, MetricsSnapshot, ServiceMetrics};
 use crate::protocol::{
     error_response, parse_request, plan_response, shutdown_response, stats_response, typed_error,
@@ -94,10 +96,12 @@ const DRAIN_NOTICE: Duration = Duration::from_millis(50);
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Planner worker threads (on top of them, the thread calling
-    /// [`Server::run`] accepts, and each connection gets its own thread).
+    /// Plan/audit jobs that run at once. Each runs on the connection
+    /// thread that read it, holding one of this many permits (the thread
+    /// calling [`Server::run`] accepts, and each connection gets its own
+    /// thread).
     pub workers: usize,
-    /// Plan/audit jobs allowed to wait for a worker before the request is
+    /// Connections allowed to wait for a job permit before a job is
     /// rejected with a typed `overloaded` error.
     pub max_queue: usize,
     /// Plan-cache capacity (entries, split across the shards).
@@ -118,7 +122,7 @@ pub struct ServerConfig {
     /// Fallback scheduler answering shed/short-circuited misses
     /// (`degraded: true`). Must resolve in the registry.
     pub degraded_method: String,
-    /// Grace period after `shutdown` during which queued and in-flight
+    /// Grace period after `shutdown` during which waiting and running
     /// requests are still served; later arrivals get `shutting_down`.
     pub grace_ms: u64,
     /// Idle keep-alive connections are closed after this long without a
@@ -183,26 +187,6 @@ pub struct ServerReport {
     pub cached_plans: usize,
 }
 
-/// A plan/audit job queued for a planner worker.
-struct Job {
-    reply: Arc<ReplySlot>,
-    request: JobRequest,
-}
-
-enum JobRequest {
-    Plan {
-        seqs: Vec<u64>,
-        method: Option<String>,
-        model: Option<String>,
-        cluster: Option<String>,
-        nodes: Option<usize>,
-        deadline: Option<Instant>,
-    },
-    Audit {
-        plan: String,
-    },
-}
-
 /// One response line, and whether the connection closes after it.
 struct Completion {
     response: String,
@@ -225,35 +209,6 @@ impl Completion {
     }
 }
 
-/// Where a planner worker hands a finished job back to the connection
-/// thread waiting on it. One per connection, reused for each of its jobs.
-#[derive(Default)]
-struct ReplySlot {
-    done: Mutex<Option<Completion>>,
-    ready: Condvar,
-}
-
-impl ReplySlot {
-    fn fill(&self, completion: Completion) {
-        *self.done.lock().expect("reply slot poisoned") = Some(completion);
-        self.ready.notify_one();
-    }
-
-    fn wait(&self) -> Completion {
-        let done = self.done.lock().expect("reply slot poisoned");
-        let mut done = self
-            .ready
-            .wait_while(done, |d| d.is_none())
-            .expect("reply slot poisoned");
-        done.take().expect("woken with a completion")
-    }
-}
-
-struct JobQueue {
-    queue: VecDeque<Job>,
-    closed: bool,
-}
-
 struct Shared {
     cfg: ServerConfig,
     /// Where `begin_drain` connects to wake the blocked `accept`.
@@ -261,8 +216,7 @@ struct Shared {
     shutdown: AtomicBool,
     /// Set when shutdown begins: the end of the drain grace period.
     drain_until: Mutex<Option<Instant>>,
-    jobs: Mutex<JobQueue>,
-    job_ready: Condvar,
+    jobs: JobGate,
     metrics: ServiceMetrics,
     cache: ShardedPlanCache,
     flights: FlightTable,
@@ -296,12 +250,6 @@ impl Shared {
             .expect("drain poisoned")
             .is_none_or(|t| Instant::now() > t)
     }
-
-    /// Releases the workers once every connection thread has ended.
-    fn close_jobs(&self) {
-        self.jobs.lock().expect("jobs poisoned").closed = true;
-        self.job_ready.notify_all();
-    }
 }
 
 /// A bound planning server, ready to [`run`](Server::run).
@@ -331,9 +279,10 @@ impl Server {
             cfg.breaker_failures,
             Duration::from_millis(cfg.breaker_cooldown_ms),
         );
-        // One metrics shard per worker plus one shared by the connection
-        // threads.
+        // One metrics shard per job permit plus one shared by the
+        // connection threads.
         let metrics = ServiceMetrics::with_shards(cfg.workers.max(1) + 1);
+        let jobs = JobGate::new(cfg.workers, cfg.max_queue);
         Ok(Server {
             listener,
             local_addr,
@@ -342,11 +291,7 @@ impl Server {
                 wake_addr: SocketAddr::new(wake_ip, local_addr.port()),
                 shutdown: AtomicBool::new(false),
                 drain_until: Mutex::new(None),
-                jobs: Mutex::new(JobQueue {
-                    queue: VecDeque::new(),
-                    closed: false,
-                }),
-                job_ready: Condvar::new(),
+                jobs,
                 metrics,
                 cache,
                 flights: FlightTable::new(),
@@ -362,33 +307,17 @@ impl Server {
     }
 
     /// Serves until a `shutdown` request arrives, then drains the
-    /// connections and workers and reports final metrics.
+    /// connections and reports final metrics.
     ///
     /// # Errors
     ///
     /// Propagates unexpected accept errors (`Interrupted` is retried).
     pub fn run(self) -> std::io::Result<ServerReport> {
         let shared = &self.shared;
-        // The scope joins every worker before returning, so in-flight jobs
-        // finish and the final snapshot below sees them.
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            for worker in 0..shared.cfg.workers.max(1) {
-                // Respawn backstop: a panic that escapes the per-job
-                // containment must not shrink the pool, so the worker
-                // re-enters its loop instead of unwinding out of the scope.
-                scope.spawn(move || loop {
-                    match catch_unwind(AssertUnwindSafe(|| worker_loop(shared, worker))) {
-                        Ok(()) => break,
-                        Err(_) => shared.metrics.record_worker_respawn(),
-                    }
-                });
-            }
-            // The inner scope joins every connection thread, and each waits
-            // for its own job, so no job is queued or in flight after it.
-            let result = std::thread::scope(|conns| accept_loop(shared, &self.listener, conns));
-            shared.close_jobs();
-            result
-        })?;
+        // The scope joins every connection thread, and each runs its own
+        // jobs, so no job waits or runs after it and the final snapshot
+        // below sees them all.
+        std::thread::scope(|conns| accept_loop(shared, &self.listener, conns))?;
         Ok(ServerReport {
             metrics: self.shared.metrics.snapshot(),
             cache: self.shared.cache.stats(),
@@ -417,7 +346,13 @@ fn accept_loop<'scope>(
                 if conns.len() >= shared.cfg.max_connections {
                     refuse(shared, stream);
                 } else {
-                    conns.push(scope.spawn(move || serve_conn(shared, stream)));
+                    conns.push(scope.spawn(move || {
+                        // Backstop: a panic that escapes request containment
+                        // ends only its own connection, and is counted.
+                        if catch_unwind(AssertUnwindSafe(|| serve_conn(shared, stream))).is_err() {
+                            shared.metrics.record_escaped_panic();
+                        }
+                    }));
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -464,7 +399,6 @@ fn serve_conn(shared: &Shared, stream: TcpStream) {
         return;
     };
     let mut reader = FrameReader::new(stream);
-    let reply = Arc::new(ReplySlot::default());
     let mut read_timeout = Duration::ZERO;
     let mut idle_since = Instant::now();
     loop {
@@ -499,7 +433,7 @@ fn serve_conn(shared: &Shared, stream: TcpStream) {
                         "server is draining and the grace period has passed",
                     ))
                 } else {
-                    handle_line(shared, &reply, line, arrival)
+                    handle_line(shared, line, arrival)
                 }
             }
             Err(FrameError::TimedOut { mid_frame }) => {
@@ -546,14 +480,9 @@ fn serve_conn(shared: &Shared, stream: TcpStream) {
 }
 
 /// Handles one complete request line on its connection thread. Cheap
-/// requests are answered here; plan/audit requests go to the worker pool
-/// and this waits for the answer.
-fn handle_line(
-    shared: &Shared,
-    reply: &Arc<ReplySlot>,
-    line: &str,
-    arrival: Instant,
-) -> Completion {
+/// requests are answered at once; plan/audit requests run as jobs behind
+/// the job gate.
+fn handle_line(shared: &Shared, line: &str, arrival: Instant) -> Completion {
     let metrics = shared.metrics.shard(0);
     match parse_request(line) {
         Ok(Request::Stats) => {
@@ -573,20 +502,13 @@ fn handle_line(
             deadline_ms,
         }) => {
             let deadline = deadline_ms.map(|ms| arrival + Duration::from_millis(ms));
-            run_job(
-                shared,
-                reply,
-                JobRequest::Plan {
-                    seqs,
-                    method,
-                    model,
-                    cluster,
-                    nodes,
-                    deadline,
-                },
-            )
+            run_job(shared, |metrics| {
+                serve_plan(
+                    shared, metrics, &seqs, method, model, cluster, nodes, deadline,
+                )
+            })
         }
-        Ok(Request::Audit { plan }) => run_job(shared, reply, JobRequest::Audit { plan }),
+        Ok(Request::Audit { plan }) => run_job(shared, |_| audit_plan(shared, &plan)),
         Err(msg) => {
             metrics.record_error();
             Completion::reply(error_response(&msg))
@@ -594,98 +516,40 @@ fn handle_line(
     }
 }
 
-/// Queues a job for the worker pool, bounded by `max_queue`, and waits for
-/// its completion. On a full queue the request is rejected typed and the
-/// connection keeps serving.
-fn run_job(shared: &Shared, reply: &Arc<ReplySlot>, request: JobRequest) -> Completion {
-    let mut jobs = shared.jobs.lock().expect("jobs poisoned");
-    if jobs.queue.len() >= shared.cfg.max_queue {
-        drop(jobs);
+/// Runs `job` once this thread holds a job permit, recording into the
+/// permit's metrics shard, and answers its error typed. With `max_queue`
+/// jobs already waiting the request is rejected typed and the connection
+/// keeps serving.
+fn run_job(
+    shared: &Shared,
+    job: impl FnOnce(MetricsShard<'_>) -> Result<String, (ErrorCode, String)>,
+) -> Completion {
+    let Some(permit) = shared.jobs.acquire(&shared.metrics) else {
         shared.metrics.record_rejected();
         return Completion::reply(typed_error(ErrorCode::Overloaded, "overloaded: queue full"));
-    }
-    jobs.queue.push_back(Job {
-        reply: Arc::clone(reply),
-        request,
-    });
-    shared.metrics.set_queue_depth(jobs.queue.len());
-    drop(jobs);
-    shared.job_ready.notify_one();
-    reply.wait()
-}
-
-fn worker_loop(shared: &Shared, worker: usize) {
-    // Shard 0 belongs to the connection threads; workers take 1..=workers.
-    let metrics = shared.metrics.shard(worker + 1);
-    loop {
-        let job = {
-            let mut jobs = shared.jobs.lock().expect("jobs poisoned");
-            loop {
-                if let Some(job) = jobs.queue.pop_front() {
-                    shared.metrics.set_queue_depth(jobs.queue.len());
-                    break Some(job);
-                }
-                if jobs.closed {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .job_ready
-                    .wait_timeout(jobs, Duration::from_millis(50))
-                    .expect("jobs poisoned");
-                jobs = guard;
-            }
-        };
-        let Some(Job { reply, request }) = job else {
-            return;
-        };
-        // Panic containment: whatever the handler does, the job answers
-        // typed and the worker survives.
-        let completion =
-            match catch_unwind(AssertUnwindSafe(|| execute_job(shared, metrics, request))) {
-                Ok(response) => Completion::reply(response),
-                Err(_) => {
-                    metrics.record_worker_panic();
-                    metrics.record_error();
-                    Completion::goodbye(typed_error(
-                        ErrorCode::WorkerPanicked,
-                        "the worker panicked serving this request; \
-                         the panic was contained and the pool is intact",
-                    ))
-                }
-            };
-        reply.fill(completion);
-    }
-}
-
-fn execute_job(shared: &Shared, metrics: MetricsShard<'_>, request: JobRequest) -> String {
-    match request {
-        JobRequest::Plan {
-            seqs,
-            method,
-            model,
-            cluster,
-            nodes,
-            deadline,
-        } => match serve_plan(
-            shared, metrics, &seqs, method, model, cluster, nodes, deadline,
-        ) {
-            Ok(r) => r,
-            Err((code, msg)) => {
-                if code == ErrorCode::DeadlineExceeded {
-                    metrics.record_deadline_exceeded();
-                } else {
-                    metrics.record_error();
-                }
-                typed_error(code, &msg)
-            }
-        },
-        JobRequest::Audit { plan } => match audit_plan(shared, &plan) {
-            Ok(r) => r,
-            Err((code, msg)) => {
+    };
+    let metrics = permit.metrics();
+    // Panic containment: whatever the job does, it answers typed, and the
+    // permit goes back to the gate when it drops.
+    match catch_unwind(AssertUnwindSafe(|| job(metrics))) {
+        Ok(Ok(response)) => Completion::reply(response),
+        Ok(Err((code, msg))) => {
+            if code == ErrorCode::DeadlineExceeded {
+                metrics.record_deadline_exceeded();
+            } else {
                 metrics.record_error();
-                typed_error(code, &msg)
             }
-        },
+            Completion::reply(typed_error(code, &msg))
+        }
+        Err(_) => {
+            metrics.record_worker_panic();
+            metrics.record_error();
+            Completion::goodbye(typed_error(
+                ErrorCode::WorkerPanicked,
+                "the job panicked serving this request; \
+                 the panic was contained and the server is intact",
+            ))
+        }
     }
 }
 
@@ -862,8 +726,8 @@ fn lead_plan(
                     }
                     Err(_) => {
                         // Planner panic, contained at the request level:
-                        // typed error out (fanned to every waiter), worker
-                        // intact, breaker counts the failure.
+                        // typed error out (fanned to every waiter), the
+                        // job's permit intact, breaker counts the failure.
                         if shared.breaker.record_failure() {
                             metrics.record_breaker_trip();
                         }
@@ -871,7 +735,7 @@ fn lead_plan(
                         FlightOutcome::Failed(
                             ErrorCode::WorkerPanicked,
                             "the planner panicked on this request; the panic was \
-                             contained and the worker pool is intact"
+                             contained and the server is intact"
                                 .to_string(),
                         )
                     }

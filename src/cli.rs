@@ -502,7 +502,7 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
                  {} errors, {} rejected\n  plan latency p50 {}us p99 {}us p999 {}us; \
                  {} cached plans ({} evictions)\n  planner: {} runs, {} coalesced\n  \
                  faults: {} shed, {} degraded, \
-                 {} deadline-exceeded, {} panics contained, {} respawns, \
+                 {} deadline-exceeded, {} panics contained, {} escaped, \
                  {} breaker trips, {} slow clients, {} drain stragglers\n",
                 m.plan_requests,
                 m.cache_hits,

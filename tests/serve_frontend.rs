@@ -1,33 +1,48 @@
 //! Front-end behaviour over real sockets that the chaos, framing and
 //! single-flight suites do not pin: the connection limit and its recovery,
-//! in-order answers to pipelined lines, idle keep-alive closing, the
-//! write-stall disconnect, and a bounded shutdown with an idle client still
-//! connected. Timing bounds are loose on purpose: they tell a missing
-//! mechanism apart from a slow host, nothing finer.
+//! the job gate's bound on running and waiting jobs, in-order answers to
+//! pipelined lines, idle keep-alive closing, the write-stall disconnect,
+//! and a bounded shutdown with an idle client still connected. Timing
+//! bounds are loose on purpose: they tell a missing mechanism apart from a
+//! slow host, nothing finer.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use zeppelin::core::plan_io::{parse_json, plan_from_json, Json};
 use zeppelin::serve::protocol::{response_error_code, ErrorCode, Request};
-use zeppelin::serve::{send_request, Server, ServerConfig, ServerReport};
+use zeppelin::serve::{send_request, PlannerChaos, Server, ServerConfig, ServerReport};
 
 /// Upper bound on any single wait in these tests.
 const PATIENCE: Duration = Duration::from_secs(10);
 
+/// Serves `cfg` on an ephemeral port with two jobs running at once.
 fn start(cfg: ServerConfig) -> (SocketAddr, JoinHandle<ServerReport>) {
+    serve(ServerConfig { workers: 2, ..cfg })
+}
+
+/// Serves `cfg` as given, on an ephemeral port.
+fn serve(cfg: ServerConfig) -> (SocketAddr, JoinHandle<ServerReport>) {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        workers: 2,
         ..cfg
     })
     .expect("bind an ephemeral port");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run().expect("serve until shutdown"));
     (addr, handle)
+}
+
+/// Polls `done` until it holds, failing the test after [`PATIENCE`].
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + PATIENCE;
+    while !done() {
+        assert!(Instant::now() < deadline, "{what} never happened");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn shutdown(addr: SocketAddr, handle: JoinHandle<ServerReport>) -> ServerReport {
@@ -85,6 +100,15 @@ fn is_ok(line: &str) -> bool {
     parse_json(line).is_ok_and(|v| v.get("ok") == Some(&Json::Bool(true)))
 }
 
+/// The `queue_depth` gauge of a `stats` reply: jobs waiting to run.
+fn queue_depth(stats: &str) -> Option<u64> {
+    parse_json(stats)
+        .ok()?
+        .get("stats")?
+        .get("queue_depth")?
+        .as_u64()
+}
+
 /// Tokens covered by the plan embedded in a `plan` reply.
 fn planned_tokens(line: &str) -> u64 {
     let v = parse_json(line).expect("reply is JSON");
@@ -140,8 +164,102 @@ fn connections_past_the_limit_are_refused_typed_until_a_slot_frees() {
             .expect("second still served")
     ));
     drop(second);
-    let report = shutdown(addr, handle);
+    // The dropped clients' threads may still hold both slots, so the
+    // shutdown waits for one as the reuse loop does: a refusal or a reset
+    // is retried.
+    let deadline = Instant::now() + PATIENCE;
+    let ack = loop {
+        match send_request(addr, &Request::Shutdown) {
+            Ok(reply) if response_error_code(&reply) != Some(ErrorCode::Overloaded) => break reply,
+            refused => assert!(
+                Instant::now() < deadline,
+                "the shutdown never found a free slot: {refused:?}"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(is_ok(&ack), "{ack}");
+    let report = handle.join().expect("server thread exits");
     assert!(report.metrics.rejected >= 1);
+}
+
+#[test]
+fn a_stalled_job_holds_the_only_slot_one_request_waits_and_the_next_is_refused() {
+    let chaos = Arc::new(PlannerChaos::new());
+    let (addr, handle) = serve(ServerConfig {
+        workers: 1,
+        max_queue: 1,
+        chaos: Some(Arc::clone(&chaos)),
+        ..ServerConfig::default()
+    });
+    // Long enough for the waiting and refused requests below to arrive
+    // while the stalled planner run still holds the only slot.
+    chaos.push_stall(3_000);
+    let mut stalled = Client::connect(addr);
+    stalled.send(&[Request::plan(vec![9000, 500]).to_line()]);
+    wait_for("the stalled planner run", || chaos.pending() == 0);
+
+    let mut waiting = Client::connect(addr);
+    waiting.send(&[Request::plan(vec![4000, 2500, 300]).to_line()]);
+    let mut observer = Client::connect(addr);
+    wait_for("one job waiting", || {
+        queue_depth(&observer.round_trip(&Request::Stats).expect("stats reply")) == Some(1)
+    });
+
+    let mut refused = Client::connect(addr);
+    let refusal = refused
+        .round_trip(&Request::plan(vec![7000]))
+        .expect("a refusal line");
+    assert_eq!(
+        response_error_code(&refusal),
+        Some(ErrorCode::Overloaded),
+        "{refusal}"
+    );
+
+    // The stall ends: the holder is answered, then the waiter.
+    let first = stalled.line().expect("stalled plan reply");
+    assert_eq!(planned_tokens(&first), 9500, "{first}");
+    let second = waiting.line().expect("waiting plan reply");
+    assert_eq!(planned_tokens(&second), 6800, "{second}");
+    // The refusal kept its connection open, and it is served now.
+    let retried = refused
+        .round_trip(&Request::plan(vec![7000]))
+        .expect("retried plan reply");
+    assert_eq!(planned_tokens(&retried), 7000, "{retried}");
+    drop((stalled, waiting, observer, refused));
+    let report = shutdown(addr, handle);
+    assert_eq!(report.metrics.rejected, 1);
+    assert_eq!(report.metrics.plan_requests, 3);
+}
+
+#[test]
+fn a_contained_planner_panic_gives_its_slot_back() {
+    let chaos = Arc::new(PlannerChaos::new());
+    let (addr, handle) = serve(ServerConfig {
+        workers: 1,
+        chaos: Some(Arc::clone(&chaos)),
+        ..ServerConfig::default()
+    });
+    chaos.push_panic();
+    let mut first = Client::connect(addr);
+    let reply = first
+        .round_trip(&Request::plan(vec![9000, 500]))
+        .expect("a typed panic reply");
+    assert_eq!(
+        response_error_code(&reply),
+        Some(ErrorCode::WorkerPanicked),
+        "{reply}"
+    );
+    // With one slot, a leaked one would leave this request waiting forever.
+    let mut next = Client::connect(addr);
+    let plan = next
+        .round_trip(&Request::plan(vec![9000, 500]))
+        .expect("served after the panic");
+    assert_eq!(planned_tokens(&plan), 9500, "{plan}");
+    drop((first, next));
+    let report = shutdown(addr, handle);
+    assert_eq!(report.metrics.worker_panics, 1);
+    assert_eq!(report.metrics.worker_respawns, 0);
 }
 
 #[test]
