@@ -1,6 +1,6 @@
 //! DeepSpeed-Ulysses sequence parallelism baseline (§6 related work).
 //!
-//! Every sequence is sharded across an Ulysses group; all-to-all collectives
+//! Every sequence is sharded across an Ulysses group; all-to-all exchanges
 //! switch between sequence- and head-parallel layouts around attention.
 //! The group size must divide the attention head count, so on clusters with
 //! more GPUs than heads the ranks split into several independent Ulysses

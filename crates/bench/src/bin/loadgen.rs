@@ -53,8 +53,12 @@ const WINDOW: usize = 1024;
 const HOT_SHAPES: usize = 256;
 /// Distinct cold-tail shapes (1 in 16 requests draws one).
 const COLD_SHAPES: usize = 512;
-/// Direct planner runs timed for the uncached floor.
-const UNCACHED_RUNS: usize = 128;
+/// Distinct shapes the uncached floor cycles through.
+const UNCACHED_SHAPES: usize = 128;
+/// Direct planner runs timed for the uncached floor, after one untimed
+/// warm-up pass over its shapes. Enough that one scheduler hiccup moves
+/// the rate by a few percent, not several-fold.
+const UNCACHED_RUNS: usize = 8192;
 
 struct Args {
     requests: usize,
@@ -257,16 +261,26 @@ fn main() {
         .map(|_| sample_batch(&dist, &mut rng, args.tokens).seqs)
         .collect();
 
-    // 1. Uncached floor: the raw planner on a sample of distinct shapes.
+    // 1. Uncached floor: the raw planner cycling through a sample of
+    //    distinct shapes, timed after one warm-up pass.
     let scheduler = registry::scheduler_by_name("zeppelin").expect("zeppelin resolves");
-    let sample: Vec<&Vec<u64>> = hot.iter().chain(cold.iter()).take(UNCACHED_RUNS).collect();
+    let sample: Vec<Batch> = hot
+        .iter()
+        .chain(cold.iter())
+        .take(UNCACHED_SHAPES)
+        .map(|lens| Batch::new(lens.clone()))
+        .collect();
+    for batch in &sample {
+        scheduler
+            .plan(batch, &ctx)
+            .expect("warm-up planning succeeds");
+    }
     let t0 = Instant::now();
-    let mut lats = Vec::with_capacity(sample.len());
-    for lens in &sample {
-        let batch = Batch::new((*lens).clone());
+    let mut lats = Vec::with_capacity(UNCACHED_RUNS);
+    for batch in sample.iter().cycle().take(UNCACHED_RUNS) {
         let r0 = Instant::now();
         scheduler
-            .plan(&batch, &ctx)
+            .plan(batch, &ctx)
             .expect("uncached planning succeeds");
         lats.push(r0.elapsed().as_micros() as u64);
     }

@@ -16,19 +16,16 @@ use zeppelin_model::config::llama_3b;
 
 fn main() {
     const TOKENS_PER_GPU: u64 = 4096;
-    let steps: usize = std::env::var("RW_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+    const STEPS: usize = 5;
     let model = llama_3b();
 
     println!("Related-work comparison — LLaMA 3B on Cluster A, 4k tokens/GPU");
-    println!("({steps} sampled steps per cell)\n");
+    println!("({STEPS} sampled steps per cell)\n");
 
     for nodes in [2usize, 8] {
         let cluster = ClusterKind::A.build(nodes);
         let cfg = RunConfig {
-            steps,
+            steps: STEPS,
             tokens_per_step: TOKENS_PER_GPU * (nodes * 8) as u64,
             seed: PAPER_SEED,
             step: StepConfig::default(),

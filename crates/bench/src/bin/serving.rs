@@ -1,41 +1,29 @@
-//! Serving exhibit: what the canonicalizing plan cache and the pipelined
-//! planner buy an online planning service (DESIGN.md §8).
+//! Serving exhibit: what the canonicalizing plan cache buys an online
+//! planning service (DESIGN.md §8).
 //!
-//! 1. Per-dataset planner throughput on repeated-shape request streams —
-//!    `SERVING_ROUNDS` rounds over a small pool of distinct batch shapes,
-//!    once verbatim (hits are zero-copy shared handles) and once re-ordered
-//!    every round (hits re-index through the sort permutation). Uncached
-//!    replans every request; cached plans each distinct shape once.
-//! 2. The pipelined trainer: planner-hidden vs planner-exposed wall time
-//!    when step N+1 plans while step N simulates.
+//! Per-dataset planner throughput on repeated-shape request streams —
+//! `ROUNDS` rounds over a small pool of distinct batch shapes, once
+//! verbatim (hits are zero-copy shared handles) and once re-ordered every
+//! round (hits re-index through the sort permutation). Uncached replans
+//! every request; cached plans each distinct shape once.
 
 use std::time::Instant;
 
-use zeppelin_bench::harness::{paper_rng, paper_testbed, paper_testbed_nodes, PAPER_SEED};
+use zeppelin_bench::harness::{paper_rng, paper_testbed_nodes};
 use zeppelin_bench::table::Table;
 use zeppelin_core::scheduler::Scheduler;
 use zeppelin_core::zeppelin::Zeppelin;
 use zeppelin_data::batch::{sample_batch, Batch};
-use zeppelin_data::datasets::{arxiv, paper_datasets};
-use zeppelin_exec::step::StepConfig;
-use zeppelin_exec::trainer::RunConfig;
+use zeppelin_data::datasets::paper_datasets;
 use zeppelin_serve::cache::PlanCache;
-use zeppelin_serve::pipeline::{run_training_pipelined, PipelineConfig};
 
 const DISTINCT_SHAPES: usize = 6;
+/// Times each request stream replays the distinct shapes.
+const ROUNDS: usize = 25;
 /// Cache study scale: a production-sized planning problem (8 nodes, 2M-token
 /// global batches) where the partitioner itself is the bottleneck.
 const CACHE_NODES: usize = 8;
 const CACHE_TOKENS: u64 = 2_097_152;
-/// Pipeline study scale: the 2-node paper testbed.
-const TOKENS: u64 = 65_536;
-
-fn rounds() -> usize {
-    std::env::var("SERVING_ROUNDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(25)
-}
 
 /// A same-multiset, differently-ordered view of `batch`: forces the cache
 /// hit path through the canonical permutation instead of a verbatim copy.
@@ -47,16 +35,14 @@ fn rotated(batch: &Batch, k: usize) -> Batch {
 }
 
 fn main() {
-    let (_, _, ctx) = paper_testbed();
     let (_, _, cache_ctx) = paper_testbed_nodes(CACHE_NODES);
     let zeppelin = Zeppelin::new();
-    let rounds = rounds();
 
     println!("Serving study — Zeppelin planner as an online service");
-    println!("(3B on Cluster A, {DISTINCT_SHAPES} distinct shapes x {rounds} rounds)\n");
+    println!("(3B on Cluster A, {DISTINCT_SHAPES} distinct shapes x {ROUNDS} rounds)\n");
 
     println!(
-        "1. plan-cache throughput on repeated-shape request streams \
+        "plan-cache throughput on repeated-shape request streams \
          ({CACHE_NODES} nodes, {CACHE_TOKENS} tokens/batch)"
     );
     let mut table = Table::new(vec![
@@ -77,7 +63,7 @@ fn main() {
         // Reordered stream: the same multisets in a different order each
         // round — hits re-index through the sort permutation (the cache's
         // worst case).
-        let repeated: Vec<Batch> = (0..rounds)
+        let repeated: Vec<Batch> = (0..ROUNDS)
             .flat_map(|_| {
                 shapes.iter().map(|b| {
                     let mut seqs = b.seqs.clone();
@@ -86,7 +72,7 @@ fn main() {
                 })
             })
             .collect();
-        let reordered: Vec<Batch> = (0..rounds)
+        let reordered: Vec<Batch> = (0..ROUNDS)
             .flat_map(|r| shapes.iter().map(move |b| rotated(b, r + 1)))
             .collect();
 
@@ -121,35 +107,5 @@ fn main() {
     }
     println!("{}", table.render());
     println!("(speedup = repeated-stream plans/s over uncached; reordered");
-    println!(" hits pay one placement re-index through the sort permutation)\n");
-
-    println!("2. pipelined planner overlap (ArXiv, 12 steps, 2 nodes, {TOKENS} tokens/step)");
-    let cfg = PipelineConfig {
-        run: RunConfig {
-            steps: 12,
-            tokens_per_step: TOKENS,
-            seed: PAPER_SEED,
-            step: StepConfig::default(),
-        },
-        ..PipelineConfig::default()
-    };
-    let report = run_training_pipelined(&zeppelin, &arxiv(), &ctx, &cfg).expect("pipelined run");
-    println!(
-        "  plan total {:.2}ms = hidden {:.2}ms + exposed {:.2}ms ({:.1}% hidden)",
-        report.plan_total.as_secs_f64() * 1e3,
-        report.plan_hidden.as_secs_f64() * 1e3,
-        report.plan_exposed.as_secs_f64() * 1e3,
-        report.hidden_fraction() * 100.0,
-    );
-    println!(
-        "  sim wall {:.2}ms over {} steps; cache {} hits / {} misses",
-        report.sim_wall.as_secs_f64() * 1e3,
-        report.run.steps.len(),
-        report.cache.hits,
-        report.cache.misses,
-    );
-    println!(
-        "  mean simulated step {} at {:.0} tokens/s (identical to the sequential trainer)",
-        report.run.mean_step_time, report.run.mean_throughput,
-    );
+    println!(" hits pay one placement re-index through the sort permutation)");
 }

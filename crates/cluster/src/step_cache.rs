@@ -11,7 +11,7 @@
 //! - the scheduler context: the cluster spec (node tiers included), the
 //!   model, the token capacity and the bits of every rank speed;
 //! - the step configuration: the per-step seed, the executor knobs, the MoE
-//!   skew, chained layers, the optimizer phase, faults and the audit flag.
+//!   skew, chained layers, faults and the audit flag.
 //!
 //! Keys are flat `u32` words and a hit needs every word to match; a digest
 //! only picks the candidates. Floats enter as their bit patterns. Each encoder
@@ -288,7 +288,6 @@ impl StepKey {
             seed,
             moe_skew,
             chained_layers,
-            zero_optimizer,
             faults,
             audit_plans,
         } = cfg;
@@ -307,7 +306,6 @@ impl StepKey {
         exec.encode(&mut env);
         moe_skew.encode(&mut env);
         chained_layers.encode(&mut env);
-        zero_optimizer.encode(&mut env);
         faults.events().encode(&mut env);
         audit_plans.encode(&mut env);
 
@@ -791,7 +789,6 @@ mod tests {
             ("exec rank speed", |l| l.cfg.exec.rank_speed = vec![1.0; 16]),
             ("moe skew", |l| l.cfg.moe_skew += 0.25),
             ("chained layers", |l| l.cfg.chained_layers = 2),
-            ("zero optimizer", |l| l.cfg.zero_optimizer = true),
             ("faults", |l| {
                 l.cfg.faults = zeppelin_sim::fault::FaultSchedule::new().gpu_slowdown(
                     0,

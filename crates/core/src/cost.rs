@@ -3,8 +3,8 @@
 //! decides each rank's peak and kernel prices ([`CostModel`]), which
 //! placements fuse into one group and what it costs ([`Fusion`],
 //! [`Group`]), and how a double ring decomposes ([`RingOrder`]). The
-//! lowering, the analyzer, the zones and the ZeRO phase all read it, so
-//! `explain` prices exactly what the simulator runs, tiers included.
+//! lowering, the analyzer and the zones all read it, so `explain` prices
+//! exactly what the simulator runs, tiers included.
 
 // Per-position tables are parallel arrays indexed by ring position.
 #![allow(clippy::needless_range_loop)]

@@ -903,7 +903,7 @@ fn lower_allgather_group(
 
 /// Lowers one fused DeepSpeed-Ulysses group: all-to-all to head-parallel
 /// layout, one balanced full-sequence attention kernel per rank, all-to-all
-/// back. Both collectives sit on the critical path, but their traffic is
+/// back. Both all-to-alls sit on the critical path, but their traffic is
 /// spread across every rank pair (and thus every NIC).
 fn lower_ulysses_group(
     sim: &mut Simulator,

@@ -12,7 +12,6 @@
 
 use std::collections::BTreeMap;
 
-use zeppelin_core::cost::CostModel;
 use zeppelin_core::plan::{IterationPlan, PlanError};
 use zeppelin_core::scheduler::{Scheduler, SchedulerCtx};
 use zeppelin_core::validate::{report as violation_report, validate_with_batch, PlanViolation};
@@ -80,7 +79,7 @@ impl From<SimError> for StepError {
 /// Step-level configuration.
 #[derive(Debug, Clone)]
 pub struct StepConfig {
-    /// Executor knobs (routing pipeline, kernels, TP overhead...).
+    /// Executor knobs (routing pipeline, TP overhead, rank speeds...).
     pub exec: ExecConfig,
     /// Seed for the MoE routing-imbalance sampler.
     pub seed: u64,
@@ -91,13 +90,11 @@ pub struct StepConfig {
     /// data parallelism; larger values expose cross-layer effects such as
     /// overlapped gradient synchronization.
     pub chained_layers: usize,
-    /// Simulate the ZeRO-1 optimizer phase: each rank updates its 1/R
-    /// parameter shard and the updated bf16 weights are ring all-gathered
-    /// once per step. Off by default (identical across methods).
-    pub zero_optimizer: bool,
     /// Infrastructure faults active during this step's layer simulations
-    /// (NIC degradation, link flaps, rank crashes). Empty by default; the
-    /// fault-aware trainer rebases its run-level schedule into this.
+    /// (NIC degradation, link flaps, rank crashes). Empty by default. The
+    /// fault-aware trainer fills it per step with whole-step NIC
+    /// degradations weighted by [`FaultSchedule::nic_factor_over`] and the
+    /// step window's [`FaultSchedule::crashes_in`].
     pub faults: FaultSchedule,
     /// Run the full plan audit ([`validate_with_batch`]) before lowering.
     /// Defaults to on in debug builds and off in release builds; turn it on
@@ -114,7 +111,6 @@ impl Default for StepConfig {
             seed: 0,
             moe_skew: 0.5,
             chained_layers: 1,
-            zero_optimizer: false,
             faults: FaultSchedule::default(),
             audit_plans: cfg!(debug_assertions),
         }
@@ -225,42 +221,6 @@ pub fn moe_linear_factor(model: &ModelConfig, tokens: u64, seed: u64, skew: f64)
     1.0 + (imb - 1.0) * share
 }
 
-/// Simulated duration of the ZeRO-1 optimizer phase: a sharded Adam update
-/// (memory-bound, ~10 reads/writes per parameter) followed by a ring
-/// all-gather of the updated bf16 weights across the whole DP group.
-fn zero_optimizer_time(ctx: &SchedulerCtx, cost: &CostModel) -> Result<SimDuration, StepError> {
-    let nranks = ctx.cluster.total_gpus();
-    let params = ctx.model.param_count() as f64;
-    let mut sim = Simulator::new(&ctx.cluster);
-    // Shard update: ~10 bytes-ish ops per parameter at HBM speed folded
-    // into a FLOP-equivalent kernel on each rank's effective peak; coarse
-    // but identical across methods.
-    let update_flops = params / nranks as f64 * 10.0;
-    let mut updates = Vec::with_capacity(nranks);
-    for rank in 0..nranks {
-        let dur = SimDuration::from_secs_f64(cost.gemm_secs(rank, update_flops));
-        updates.push(Some(sim.compute(
-            rank,
-            zeppelin_sim::engine::Stream::Compute,
-            dur,
-            vec![],
-            None,
-        )?));
-    }
-    if nranks > 1 {
-        let shard_bytes = params * 2.0 / nranks as f64;
-        zeppelin_sim::collectives::ring_allgather(
-            &mut sim,
-            &(0..nranks).collect::<Vec<_>>(),
-            shard_bytes,
-            &updates,
-            "zero-params",
-        )?;
-    }
-    let report = sim.run()?;
-    Ok(SimDuration::from_nanos(report.makespan.as_nanos()))
-}
-
 /// Simulates one training step of `scheduler` on `batch`.
 ///
 /// # Errors
@@ -312,7 +272,9 @@ pub fn simulate_plan(
 ) -> Result<StepReport, StepError> {
     let nranks = ctx.cluster.total_gpus();
     plan.validate(nranks)?;
-    let cost = CostModel::new(&ctx.cluster, cfg.exec.effective_rank_speed(&ctx.cluster)?);
+    // Reject a malformed `rank_speed` with a typed error before
+    // `lower_layer` indexes it.
+    cfg.exec.effective_rank_speed(&ctx.cluster)?;
     if !cfg.moe_skew.is_finite() {
         return Err(StepError::Exec(ExecConfigError::MoeSkew {
             value: cfg.moe_skew,
@@ -381,10 +343,7 @@ pub fn simulate_plan(
 
     let layers = ctx.model.layers as u64;
     let per_layer = layer_forward.saturating_add(layer_backward);
-    let mut step_ns = per_layer.as_nanos().saturating_mul(layers);
-    if cfg.zero_optimizer {
-        step_ns = step_ns.saturating_add(zero_optimizer_time(ctx, &cost)?.as_nanos());
-    }
+    let step_ns = per_layer.as_nanos().saturating_mul(layers);
     let step_time = SimDuration::from_nanos(step_ns);
     let tokens = batch.total_tokens();
     let throughput = if step_ns > 0 {
@@ -528,68 +487,5 @@ mod tests {
         let err = simulate_plan(&plan, &batch, &ctx, &cfg).unwrap_err();
         assert!(matches!(err, StepError::Invalid(_)), "{err}");
         assert!(err.to_string().contains("audit"), "{err}");
-    }
-}
-
-#[cfg(test)]
-mod zero_tests {
-    use super::*;
-    use zeppelin_core::zeppelin::Zeppelin;
-    use zeppelin_data::batch::Batch;
-    use zeppelin_model::config::{llama_3b, llama_7b};
-    use zeppelin_sim::topology::{cluster_a, cluster_b, cluster_mixed, ClusterSpec};
-
-    #[test]
-    fn zero_optimizer_adds_a_fixed_per_step_cost() {
-        let batch = Batch::new(vec![8_000, 4_000, 2_000, 1_000]);
-        // The ZeRO phase's extra step time on `cluster`.
-        let zero_cost = |cluster: &ClusterSpec| {
-            let ctx = SchedulerCtx::new(cluster, &llama_3b());
-            let run = |zero| {
-                let cfg = StepConfig {
-                    zero_optimizer: zero,
-                    ..StepConfig::default()
-                };
-                simulate_step(&Zeppelin::new(), &batch, &ctx, &cfg).unwrap()
-            };
-            let off = run(false);
-            let on = run(true);
-            assert!(on.step_time > off.step_time);
-            // Layer times are untouched; only the step total grows.
-            assert_eq!(on.layer_forward, off.layer_forward);
-            assert_eq!(on.layer_backward, off.layer_backward);
-            on.step_time.as_nanos() - off.step_time.as_nanos()
-        };
-        zero_cost(&cluster_a(2));
-        // Mixed tiers share Cluster B's fabric and base GPU, but the A800
-        // node's shard updates run at its tier, which stretches the phase.
-        let mixed = zero_cost(&cluster_mixed(3));
-        let b = zero_cost(&cluster_b(3));
-        assert!(mixed > b, "mixed-tier ZeRO {mixed} ns vs Cluster B {b} ns");
-    }
-
-    #[test]
-    fn zero_phase_scales_with_model_size() {
-        let cluster = cluster_a(2);
-        let batch = Batch::new(vec![8_000, 4_000, 2_000, 1_000]);
-        let step_with = |model: zeppelin_model::config::ModelConfig| {
-            let ctx = SchedulerCtx::new(&cluster, &model);
-            let on = simulate_step(
-                &Zeppelin::new(),
-                &batch,
-                &ctx,
-                &StepConfig {
-                    zero_optimizer: true,
-                    ..StepConfig::default()
-                },
-            )
-            .unwrap();
-            let off =
-                simulate_step(&Zeppelin::new(), &batch, &ctx, &StepConfig::default()).unwrap();
-            on.step_time.as_secs_f64() - off.step_time.as_secs_f64()
-        };
-        let small = step_with(llama_3b());
-        let big = step_with(llama_7b());
-        assert!(big > 1.5 * small, "3B extra {small} vs 7B extra {big}");
     }
 }

@@ -10,8 +10,6 @@
 //!   lookups, plus the N-way sharded variant the server runs on;
 //! - [`singleflight`]: coalescing of identical in-flight plan keys — one
 //!   planner run fans its plan out to every concurrent waiter;
-//! - [`pipeline`]: the pipelined planner — step N+1 plans on a worker
-//!   thread while step N simulates, with hidden-vs-exposed accounting;
 //! - [`protocol`]: line-delimited JSON requests/responses (`plan`,
 //!   `stats`, `shutdown`) with per-request deadlines and typed error
 //!   codes, built on `zeppelin_core::plan_io`'s JSON;
@@ -70,7 +68,6 @@ pub mod client;
 pub mod frame;
 mod gate;
 pub mod metrics;
-pub mod pipeline;
 pub mod protocol;
 pub mod registry;
 pub mod server;
@@ -85,7 +82,6 @@ pub use chaos::{run_chaos, ChaosReport, PlannerChaos, ServeFault, ServeFaultSche
 pub use client::{send_request, send_request_with, ClientConfig};
 pub use frame::{Frame, FrameError, FrameReader, MAX_FRAME_BYTES};
 pub use metrics::{MetricsShard, MetricsSnapshot, ServiceMetrics};
-pub use pipeline::{run_training_pipelined, PipelineConfig, PipelineReport};
 pub use protocol::{parse_request, ErrorCode, Request};
 pub use server::{Server, ServerConfig, ServerReport};
 pub use singleflight::{Flight, FlightOutcome, FlightTable, Join};

@@ -442,72 +442,6 @@ impl FaultSchedule {
         out
     }
 
-    /// A view of this schedule re-based to `origin`: window instants shift
-    /// left by `origin`, windows entirely in the past are dropped, and
-    /// windows straddling the origin are clamped to start at zero. Crashes
-    /// before the origin are dropped (the rank is already dead; track that
-    /// with [`FaultSchedule::crashed_before`]).
-    ///
-    /// The trainer uses this to hand each step's simulation the slice of the
-    /// run-level schedule that is active during the step.
-    pub fn rebased(&self, origin: SimTime) -> FaultSchedule {
-        let shift =
-            |t: SimTime| SimTime::from_nanos(t.as_nanos().saturating_sub(origin.as_nanos()));
-        let mut out = FaultSchedule::new();
-        for ev in &self.events {
-            match *ev {
-                FaultEvent::GpuSlowdown {
-                    rank,
-                    factor,
-                    start,
-                    end,
-                } => {
-                    if end.is_none_or(|e| e > origin) {
-                        out.events.push(FaultEvent::GpuSlowdown {
-                            rank,
-                            factor,
-                            start: shift(start),
-                            end: end.map(shift),
-                        });
-                    }
-                }
-                FaultEvent::NicDegrade {
-                    nic,
-                    factor,
-                    start,
-                    end,
-                } => {
-                    if end.is_none_or(|e| e > origin) {
-                        out.events.push(FaultEvent::NicDegrade {
-                            nic,
-                            factor,
-                            start: shift(start),
-                            end: end.map(shift),
-                        });
-                    }
-                }
-                FaultEvent::LinkFlap { nic, start, end } => {
-                    if end.is_none_or(|e| e > origin) {
-                        out.events.push(FaultEvent::LinkFlap {
-                            nic,
-                            start: shift(start),
-                            end: end.map(shift),
-                        });
-                    }
-                }
-                FaultEvent::RankCrash { rank, at } => {
-                    if at >= origin {
-                        out.events.push(FaultEvent::RankCrash {
-                            rank,
-                            at: shift(at),
-                        });
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Draws a random schedule over `[0, horizon)` for `cluster` from
     /// `seed` — deterministic per seed, which the determinism property
     /// suite relies on. The draw mixes slowdowns, degradations, flaps, and
@@ -610,6 +544,12 @@ mod tests {
         assert!((f.nic_factor_at(1, s(1)) - 0.25 * FLAP_RESIDUAL).abs() < 1e-12);
         assert_eq!(f.nic_factor_at(1, s(2)), 1.0);
         assert_eq!(f.nic_factor_at(0, s(1)), 1.0);
+        // Over [0, 4) the degrade covers half the window and the flap a
+        // quarter; each weights in by its overlap.
+        let over = (1.0 - 0.5 * 0.75) * (1.0 - 0.25 * (1.0 - FLAP_RESIDUAL));
+        assert!((f.nic_factor_over(1, s(0), s(4)) - over).abs() < 1e-12);
+        // A zero-span window falls back to the instant's factor.
+        assert_eq!(f.nic_factor_over(1, s(1), s(1)), f.nic_factor_at(1, s(1)));
     }
 
     #[test]
@@ -621,6 +561,11 @@ mod tests {
         assert!((f.speed_over(0, s(1), s(2)) - 0.5).abs() < 1e-12);
         // Disjoint window.
         assert_eq!(f.speed_over(0, s(3), s(4)), 1.0);
+        // NIC factors weight the same way.
+        let g = FaultSchedule::new().nic_degrade(2, 0.5, s(1), Some(s(2)));
+        assert!((g.nic_factor_over(2, s(0), s(2)) - 0.75).abs() < 1e-12);
+        assert_eq!(g.nic_factor_over(2, s(3), s(4)), 1.0);
+        assert_eq!(g.nic_factor_over(2, s(1), s(1)), 0.5);
     }
 
     #[test]
@@ -675,23 +620,6 @@ mod tests {
             .link_flap(0, s(3), Some(s(5)))
             .rank_crash(1, s(1));
         assert_eq!(f.boundaries(), vec![s(1), s(3), s(5)]);
-    }
-
-    #[test]
-    fn rebase_shifts_and_drops() {
-        let f = FaultSchedule::new()
-            .gpu_slowdown(0, 0.5, s(1), Some(s(3)))
-            .nic_degrade(1, 0.5, s(0), Some(s(2)))
-            .rank_crash(2, s(1))
-            .rank_crash(3, s(5));
-        let r = f.rebased(s(2));
-        // The [1,3) slowdown straddles the origin: clamped to [0,1).
-        assert!((r.speed_at(0, SimTime::ZERO) - 0.5).abs() < 1e-12);
-        assert_eq!(r.speed_at(0, s(1)), 1.0);
-        // The [0,2) degrade ended exactly at the origin: dropped.
-        assert_eq!(r.nic_factor_at(1, SimTime::ZERO), 1.0);
-        // Crash at 1 < origin dropped; crash at 5 shifts to 3.
-        assert_eq!(r.crashes_in(SimTime::ZERO, s(10)), vec![(3, s(3))]);
     }
 
     #[test]

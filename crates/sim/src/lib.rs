@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod collectives;
 pub mod engine;
 pub mod error;
 pub mod fault;
@@ -54,7 +53,6 @@ pub mod topology;
 pub mod trace;
 
 pub use arena::{Slab, SlabKey};
-pub use collectives::{all_to_all, ring_allgather, ring_allreduce};
 pub use engine::{SimReport, SimStats, Simulator, Stream, TaskId, TraceInfo};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultSchedule, FLAP_RESIDUAL};

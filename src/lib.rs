@@ -17,7 +17,7 @@
 //! - [`baselines`] — TE CP, LLaMA CP, Hybrid DP, and packing;
 //! - [`exec`] — plan lowering, step simulation, multi-step training runs;
 //! - [`serve`] — the online planning service: canonicalizing plan cache,
-//!   pipelined planner, and line-delimited-JSON TCP front-end;
+//!   single-flight planning, and line-delimited-JSON TCP front-end;
 //! - [`cluster`] — continuous multi-job cluster simulation: trace-driven
 //!   arrivals, queueing policies, checkpoint-and-requeue preemption, and
 //!   elastic autoscaling over the single-job stack.
